@@ -5,9 +5,10 @@
 // frames from a Unix socket / file / stdin, expose /metrics, persist
 // crash-safe snapshots, support warm restart:
 //
-//   replicationd --nodes 50 --items 50 --capacity 5 \
-//       --socket /tmp/repl.sock --port 0 --announce /tmp/repl.announce \
+//   replicationd --nodes 50 --items 50 --capacity 5
+//       --socket /tmp/repl.sock --port 0 --announce /tmp/repl.announce
 //       --snapshot /tmp/repl.snap --snapshot-interval 30s --seed 7
+//   (one command line, wrapped here)
 //   replicationd ... --restore          # warm restart from the snapshot
 //
 // Generator mode: emit a deterministic synthetic stream for tests and

@@ -7,9 +7,12 @@
 // `--eval mf` swaps the trace-driven simulations for the mean-field
 // evaluator (core/mean_field.hpp): the same competitor set and loss
 // tables, computed in replica-count space with no trace and no per-node
-// state, so `--nodes 1000000` finishes in seconds in O(N + T) memory
-// (docs/perf.md §6). The default `--eval sim` path is byte-identical to
-// previous releases.
+// state, so `--nodes 1000000 --items 50` runs in 0.66 s wall and
+// ~12 MiB peak RSS on a 2.1 GHz Xeon (docs/perf.md §6). The default
+// `--eval sim` path is byte-identical to previous releases.
+//
+// A flag value that does not parse (`--nodes 12abc`) exits 2 with the
+// flag named.
 #include <sys/resource.h>
 
 #include <iostream>
@@ -103,9 +106,7 @@ int run_mean_field(const util::Flags& flags, trace::NodeId nodes,
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::Flags flags(argc, argv);
   const trace::NodeId nodes =
       static_cast<trace::NodeId>(flags.get_int("nodes", 50));
@@ -206,4 +207,15 @@ int main(int argc, char** argv) {
                "SQRT strong;\nPROP weak for power utilities; QCR tracks "
                "OPT without control-channel state.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const util::FlagError& e) {
+    std::cerr << "fig4: " << e.what() << '\n';
+    return 2;
+  }
 }

@@ -782,6 +782,32 @@ void BM_MeanFieldFig4(benchmark::State& state) {
 }
 BENCHMARK(BM_MeanFieldFig4);
 
+// One fig4 mean-field sweep point's competitor work at N = 10^6 (50
+// items, mu = 0.05, T = 5000, rho = 5): mean_field_competitors plus the
+// five mean_field_welfare calls on its allocations, each building its
+// own gain table. Unlike BM_MeanFieldFig4 (N = 500, mu = 0.01) the
+// tables here run deep into the saturated tail where 1 - (1-mu)^x
+// rounds to 1, and the greedy places 5 x 10^6 replicas, so this entry
+// sees the table-build and greedy costs of `fig4_homogeneous --eval mf`.
+void BM_MeanFieldMillion(benchmark::State& state) {
+  const auto catalog = core::Catalog::pareto(50, 1.0, 1.0);
+  const utility::PowerUtility u(-1.0);
+  core::MeanFieldModel model;
+  model.mu = 0.05;
+  model.num_nodes = 1e6;
+  model.horizon = 5000;
+  const auto& demand = catalog.demands();
+  for (auto _ : state) {
+    for (const auto& [name, counts] :
+         core::mean_field_competitors(demand, u, model, 5)) {
+      benchmark::DoNotOptimize(
+          core::mean_field_welfare(counts, demand, u, model));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * 6);
+}
+BENCHMARK(BM_MeanFieldMillion)->Unit(benchmark::kMillisecond);
+
 // Streaming-trace pair (docs/perf.md §6): a full STATIC trial including
 // trace acquisition — materialize the whole ContactTrace first vs pull
 // slot batches from the O(1)-memory GeneratedSource while simulating.

@@ -19,8 +19,9 @@
 // interact, so expected welfare is linear in the per-request gains even
 // though they share one trace. The geometric tail is truncated once
 // (1-q)^(k-1) drops below tail_epsilon, so the sum costs O(1/q) terms,
-// and a full gain table over x = 0..N costs O(N + T) — the O(1)-in-N
-// evaluation path behind core/mean_field.hpp.
+// and a full gain table over x = 0..N costs O(N + T) plus the hazard
+// sums (DiscreteGainTable below) — the evaluation path behind
+// core/mean_field.hpp.
 //
 // Relation to utility/discrete.hpp: discrete_expected_gain() is the
 // infinite-horizon limit of S(q)/T as T -> inf (plain geometric
@@ -63,8 +64,17 @@ double item_gain_discrete(const utility::DelayUtility& u,
 
 /// Precomputed g(x) for integer x in [0, max_replicas]: one pass at
 /// construction, O(1) per query. Shares the h(k) evaluations across all
-/// x, so building the full table at N = 10^6 costs about
-/// O(N + T + (1/mu) log N) utility evaluations and flops.
+/// x, so a build costs T + 1 utility evaluations, the hazard sums S(q)
+/// for the x where q = 1 - (1-mu)^x still rounds below 1.0 (row x costs
+/// O(log(1/eps) / q), about O((1/mu) log(1/eps)) terms over all such
+/// rows), and an O(N) fill for the rest. The fill is exact, not an
+/// approximation: (1-mu)^x only shrinks, so once 1 - (1-mu)^x rounds to
+/// 1.0 it stays there and every later row has the same S(1), computed
+/// once; each row then evaluates the same expression, in the same
+/// operation order, as the hazard loop would. At N = 10^6, T = 5000 a
+/// build takes ~4 ms on a 2.1 GHz Xeon. Without the cut, (1-mu)^x would
+/// decay into subnormals and every remaining row would pay a subnormal
+/// multiply.
 class DiscreteGainTable {
  public:
   DiscreteGainTable(const utility::DelayUtility& u,

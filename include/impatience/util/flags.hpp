@@ -6,15 +6,28 @@
 //   bool fast  = flags.get_bool("fast", false);
 //   double dl  = flags.get_duration("deadline", 0.0);  // "90", "250ms", "5m"
 //
-// Accepts --key=value, --key value, and bare --key (boolean true).
+// Accepts --key=value, --key value, and bare --key (boolean true). A
+// present value that does not parse, whole, as the type asked for throws
+// FlagError naming the flag and the value ("12abc" is not an int).
 #pragma once
 
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace impatience::util {
+
+/// A flag value that does not parse as the requested type; the message
+/// names the flag and the value. Derives from std::invalid_argument, so
+/// existing catch sites keep working; mains catch it to exit 2 (usage
+/// error) with the message.
+class FlagError : public std::invalid_argument {
+ public:
+  FlagError(const std::string& flag, const std::string& value,
+            const std::string& want);
+};
 
 /// Parses a human-friendly duration into seconds. Grammar:
 ///   duration := number [unit]
@@ -39,8 +52,7 @@ class Flags {
   bool get_bool(const std::string& key, bool fallback) const;
   /// Duration flag in seconds via parse_duration ("30s", "5m", "250ms";
   /// a bare number is seconds). `fallback` is returned when the flag is
-  /// absent; a present-but-unparsable value throws std::invalid_argument
-  /// naming the flag.
+  /// absent; a present-but-unparsable value throws FlagError.
   double get_duration(const std::string& key, double fallback) const;
 
   /// Non-flag positional arguments in order of appearance.

@@ -117,17 +117,37 @@ DiscreteGainTable::DiscreteGainTable(const utility::DelayUtility& u,
     h[static_cast<std::size_t>(k)] = u.value(static_cast<double>(k));
   }
   gain_.resize(static_cast<std::size_t>(max_replicas) + 1);
+  const double T = static_cast<double>(m.horizon);
+  auto immediate_at = [&](long x) {
+    return std::min(static_cast<double>(x), m.num_nodes) / m.num_nodes;
+  };
   double miss = 1.0;  // (1 - mu)^x, updated incrementally
-  for (long x = 0; x <= max_replicas; ++x) {
+  long x = 0;
+  for (; x <= max_replicas; ++x) {
     const double q = 1.0 - miss;
-    const double immediate =
-        std::min(static_cast<double>(x), m.num_nodes) / m.num_nodes;
+    // miss only shrinks, so once 1 - miss rounds to 1.0 it stays there
+    // and S(q) is the same for every larger x: the saturated tail below.
+    if (q == 1.0) break;
+    const double immediate = immediate_at(x);
     gain_[static_cast<std::size_t>(x)] =
         immediate * h0 +
         (1.0 - immediate) *
-            censored_sum(h, q, m.horizon, m.horizon, m.tail_epsilon) /
-            static_cast<double>(m.horizon);
+            censored_sum(h, q, m.horizon, m.horizon, m.tail_epsilon) / T;
     miss *= 1.0 - m.mu;
+  }
+  // Saturated tail: one S(1) for all remaining x. Carried on, miss would
+  // decay into subnormals (sticking at the smallest one for mu < 0.5), so
+  // each of the ~N remaining rows would pay a subnormal multiply plus a
+  // 9-term sum returning this same S. Keep the per-row operation order,
+  // ((1 - imm) * S) / T: hoisting S / T changes last bits, and the table
+  // must stay bit for bit what the hazard loop computes.
+  if (x <= max_replicas) {
+    const double S = censored_sum(h, 1.0, m.horizon, m.horizon, m.tail_epsilon);
+    for (; x <= max_replicas; ++x) {
+      const double immediate = immediate_at(x);
+      gain_[static_cast<std::size_t>(x)] =
+          immediate * h0 + (1.0 - immediate) * S / T;
+    }
   }
 }
 

@@ -120,12 +120,16 @@ alloc::ItemCounts mean_field_greedy(const std::vector<double>& demand,
   std::vector<long> x(demand.size(), 0);
 
   // Max-heap greedy over weighted marginals, exact by concavity of g(x)
-  // (the discrete hazard has diminishing returns). Entries carry the x
-  // they were computed at; stale ones are refreshed and re-pushed.
+  // (the discrete hazard has diminishing returns). Every item below its
+  // cap has exactly one entry, and cmp is a strict total order on
+  // distinct items, so the popped item keeps winning for as long as its
+  // next entry beats heap.top(): place that whole run without touching
+  // the heap. The placement sequence is the one-pop-per-replica greedy's;
+  // only the heap traffic differs. Runs are long once items reach the
+  // saturated tail of the gain table, where marginals are flat.
   struct Entry {
     double gain;
     std::size_t item;
-    long at;
   };
   auto cmp = [](const Entry& a, const Entry& b) {
     if (a.gain != b.gain) return a.gain < b.gain;
@@ -133,23 +137,25 @@ alloc::ItemCounts mean_field_greedy(const std::vector<double>& demand,
   };
   std::priority_queue<Entry, std::vector<Entry>, decltype(cmp)> heap(cmp);
   for (std::size_t i = 0; i < demand.size(); ++i) {
-    if (cap_per_item > 0) heap.push({demand[i] * eval.marginal(0), i, 0});
+    if (cap_per_item > 0) heap.push({demand[i] * eval.marginal(0), i});
   }
   long placed = 0;
   while (placed < capacity && !heap.empty()) {
-    const Entry top = heap.top();
-    heap.pop();
-    if (top.at != x[top.item]) {
-      heap.push({demand[top.item] * eval.marginal(x[top.item]), top.item,
-                 x[top.item]});
-      continue;
-    }
+    Entry top = heap.top();
     if (top.gain < 0.0) break;  // g is non-decreasing; numerical guard
-    ++x[top.item];
-    ++placed;
-    if (x[top.item] < cap_per_item) {
-      heap.push({demand[top.item] * eval.marginal(x[top.item]), top.item,
-                 x[top.item]});
+    heap.pop();
+    long& xi = x[top.item];
+    for (;;) {
+      ++xi;
+      ++placed;
+      if (xi >= cap_per_item || placed >= capacity) break;
+      top.gain = demand[top.item] * eval.marginal(xi);
+      // A negative gain goes back to the heap so the guard above sees it
+      // exactly when the one-per-pop loop would have popped it.
+      if (top.gain < 0.0 || (!heap.empty() && cmp(top, heap.top()))) {
+        heap.push(top);
+        break;
+      }
     }
   }
   for (std::size_t i = 0; i < x.size(); ++i) {

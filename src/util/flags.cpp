@@ -13,7 +13,27 @@ bool looks_like_flag(const std::string& s) {
   return s.size() > 2 && s[0] == '-' && s[1] == '-';
 }
 
+/// `parse` is one of std::stoi/stol/stod; the value must be consumed
+/// whole, so "12abc" fails instead of reading as 12.
+template <typename Parse>
+auto parse_whole(const std::string& key, const std::string& value,
+                 const char* want, Parse parse) {
+  std::size_t consumed = 0;
+  try {
+    const auto parsed = parse(value, &consumed);
+    if (consumed == value.size()) return parsed;
+  } catch (const std::invalid_argument&) {
+  } catch (const std::out_of_range&) {
+  }
+  throw FlagError(key, value, want);
+}
+
 }  // namespace
+
+FlagError::FlagError(const std::string& flag, const std::string& value,
+                     const std::string& want)
+    : std::invalid_argument("Flags: bad value for --" + flag + ": '" +
+                            value + "' (want " + want + ")") {}
 
 std::optional<double> parse_duration(const std::string& text) {
   if (text.empty()) return std::nullopt;
@@ -84,17 +104,29 @@ std::string Flags::get_string(const std::string& key,
 
 int Flags::get_int(const std::string& key, int fallback) const {
   auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::stoi(it->second);
+  if (it == values_.end()) return fallback;
+  return parse_whole(key, it->second, "an integer",
+                     [](const std::string& s, std::size_t* pos) {
+                       return std::stoi(s, pos);
+                     });
 }
 
 long Flags::get_long(const std::string& key, long fallback) const {
   auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::stol(it->second);
+  if (it == values_.end()) return fallback;
+  return parse_whole(key, it->second, "an integer",
+                     [](const std::string& s, std::size_t* pos) {
+                       return std::stol(s, pos);
+                     });
 }
 
 double Flags::get_double(const std::string& key, double fallback) const {
   auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::stod(it->second);
+  if (it == values_.end()) return fallback;
+  return parse_whole(key, it->second, "a number",
+                     [](const std::string& s, std::size_t* pos) {
+                       return std::stod(s, pos);
+                     });
 }
 
 double Flags::get_duration(const std::string& key, double fallback) const {
@@ -102,9 +134,7 @@ double Flags::get_duration(const std::string& key, double fallback) const {
   if (it == values_.end()) return fallback;
   const auto seconds = parse_duration(it->second);
   if (!seconds) {
-    throw std::invalid_argument("Flags: bad duration for --" + key + ": '" +
-                                it->second +
-                                "' (want e.g. 90, 250ms, 30s, 5m, 2h)");
+    throw FlagError(key, it->second, "a duration, e.g. 90, 250ms, 30s, 5m, 2h");
   }
   return *seconds;
 }
@@ -115,7 +145,7 @@ bool Flags::get_bool(const std::string& key, bool fallback) const {
   const std::string& v = it->second;
   if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
   if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  throw std::invalid_argument("Flags: bad boolean for --" + key + ": " + v);
+  throw FlagError(key, v, "true/false, yes/no, on/off or 1/0");
 }
 
 }  // namespace impatience::util

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <queue>
 #include <vector>
 
 #include "impatience/alloc/rounding.hpp"
@@ -268,6 +269,37 @@ TEST(CensoredDiscreteGain, TableMatchesDirectEvaluation) {
   EXPECT_NEAR(table.marginal(7), table.gain(8.0) - table.gain(7.0), 1e-15);
 }
 
+TEST(CensoredDiscreteGain, SaturatedTailMatchesDirectEvaluation) {
+  // At mu = 0.05 the table's incremental (1 - mu)^x makes 1 - miss round
+  // to exactly 1.0 near x = 730, where the build switches to one shared
+  // S(1); past x ~ 14.5k miss would sit on the smallest subnormal. Both
+  // boundaries must be invisible in the values.
+  alloc::DiscreteGainModel m;
+  m.mu = 0.05;
+  m.num_nodes = 20000;
+  m.horizon = 5000;
+  const long n = 20000;
+  const utility::ExponentialUtility exponential(0.07);
+  const utility::PowerUtility power(-1.0);
+  for (const utility::DelayUtility* u :
+       {static_cast<const utility::DelayUtility*>(&exponential),
+        static_cast<const utility::DelayUtility*>(&power)}) {
+    const alloc::DiscreteGainTable table(*u, m, n);
+    std::vector<long> xs = {0, 1, 2, 100, 500, 13000, 19999, n};
+    for (long x = 690; x <= 770; ++x) xs.push_back(x);
+    for (long x = 13700; x <= 14700; x += 25) xs.push_back(x);
+    for (long x : xs) {
+      EXPECT_NEAR(table.gain(static_cast<double>(x)),
+                  alloc::item_gain_discrete(*u, m, static_cast<double>(x)),
+                  1e-12)
+          << u->name() << " x=" << x;
+    }
+    for (long x = 0; x < n; ++x) {
+      ASSERT_GE(table.marginal(x), 0.0) << u->name() << " x=" << x;
+    }
+  }
+}
+
 TEST(CensoredDiscreteGain, ConvergesToContinuousClosedFormForSmallMu) {
   // As mu -> 0 with a horizon far beyond the utility's support, the
   // discrete censored-geometric model approaches the continuous-time
@@ -334,6 +366,104 @@ TEST(MeanFieldGreedy, DiscreteGreedyIsCapacityTightAndUndominated) {
     const double w = mean_field_welfare(counts, catalog.demands(), u, m);
     EXPECT_GE(w_opt, w - 1e-9) << name;
   }
+}
+
+/// The count-space greedy with one heap pop and push per placed replica:
+/// the reference that mean_field_greedy's run-length loop must reproduce
+/// placement for placement.
+alloc::ItemCounts one_per_pop_greedy(const std::vector<double>& demand,
+                                     const utility::DelayUtility& u,
+                                     const MeanFieldModel& m, long capacity) {
+  const MeanFieldEvaluator eval(u, m);
+  const long cap_per_item = std::llround(m.num_nodes);
+  std::vector<long> x(demand.size(), 0);
+  struct Entry {
+    double gain;
+    std::size_t item;
+    long at;
+  };
+  auto cmp = [](const Entry& a, const Entry& b) {
+    if (a.gain != b.gain) return a.gain < b.gain;
+    return a.item > b.item;
+  };
+  std::priority_queue<Entry, std::vector<Entry>, decltype(cmp)> heap(cmp);
+  for (std::size_t i = 0; i < demand.size(); ++i) {
+    if (cap_per_item > 0) heap.push({demand[i] * eval.marginal(0), i, 0});
+  }
+  long placed = 0;
+  while (placed < capacity && !heap.empty()) {
+    const Entry top = heap.top();
+    heap.pop();
+    if (top.at != x[top.item]) {
+      heap.push({demand[top.item] * eval.marginal(x[top.item]), top.item,
+                 x[top.item]});
+      continue;
+    }
+    if (top.gain < 0.0) break;
+    ++x[top.item];
+    ++placed;
+    if (x[top.item] < cap_per_item) {
+      heap.push({demand[top.item] * eval.marginal(x[top.item]), top.item,
+                 x[top.item]});
+    }
+  }
+  alloc::ItemCounts counts;
+  for (long xi : x) counts.x.push_back(static_cast<double>(xi));
+  return counts;
+}
+
+void expect_matches_one_per_pop(const std::vector<double>& demand,
+                                const utility::DelayUtility& u,
+                                const MeanFieldModel& m, long capacity) {
+  const auto counts = mean_field_greedy(demand, u, m, capacity);
+  const auto reference = one_per_pop_greedy(demand, u, m, capacity);
+  EXPECT_EQ(counts.x, reference.x) << u.name() << " capacity=" << capacity;
+}
+
+TEST(MeanFieldGreedy, RunLengthMatchesOnePerPopReference) {
+  const auto catalog = Catalog::pareto(50, 1.0, 1.0);
+  MeanFieldModel m;
+  m.mu = 0.05;
+  m.num_nodes = 1e5;
+  m.horizon = 5000;
+  const long capacity = 5 * 100000;
+  for (double alpha : {-2.0, -0.5, 0.0, 0.9}) {
+    expect_matches_one_per_pop(catalog.demands(), utility::PowerUtility(alpha),
+                               m, capacity);
+  }
+  for (double tau : {1.0, 10.0, 1000.0}) {
+    expect_matches_one_per_pop(catalog.demands(), utility::StepUtility(tau),
+                               m, capacity);
+  }
+}
+
+TEST(MeanFieldGreedy, RunLengthEdgeCases) {
+  MeanFieldModel m;
+  m.mu = 0.05;
+  m.num_nodes = 2000;
+  m.horizon = 800;
+  const utility::ExponentialUtility u(0.05);
+
+  // Equal demands: every comparison between fresh items is a gain tie,
+  // settled by the lowest-item rule.
+  const std::vector<double> equal(7, 1.0 / 7.0);
+  expect_matches_one_per_pop(equal, u, m, 3001);
+
+  // Capacity runs out inside the dominant item's run: past the saturated
+  // boundary its flat marginals keep beating the small item's.
+  const std::vector<double> skewed = {0.98, 0.02};
+  const auto cut = mean_field_greedy(skewed, u, m, 1500);
+  EXPECT_GT(cut.x[0], 0.0);
+  EXPECT_LT(cut.x[0], m.num_nodes);
+  EXPECT_DOUBLE_EQ(cut.total(), 1500.0);
+  expect_matches_one_per_pop(skewed, u, m, 1500);
+
+  // Capacity = items x N: every item ends at its cap.
+  const std::vector<double> three = {0.5, 0.3, 0.2};
+  const long full = 3 * 2000;
+  const auto capped = mean_field_greedy(three, u, m, full);
+  for (double xi : capped.x) EXPECT_DOUBLE_EQ(xi, m.num_nodes);
+  expect_matches_one_per_pop(three, u, m, full);
 }
 
 // --------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace impatience::util {
 namespace {
 
@@ -46,6 +48,33 @@ TEST(Flags, BooleanSpellings) {
 TEST(Flags, BadBooleanThrows) {
   EXPECT_THROW(make({"--x=maybe"}).get_bool("x", false),
                std::invalid_argument);
+}
+
+TEST(Flags, NonNumericValueThrowsNamingFlagAndValue) {
+  auto f = make({"--nodes=many", "--mu", "fast", "--seed="});
+  try {
+    f.get_int("nodes", 0);
+    FAIL() << "expected FlagError";
+  } catch (const FlagError& e) {
+    EXPECT_NE(std::string(e.what()).find("--nodes"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("'many'"), std::string::npos);
+  }
+  EXPECT_THROW(f.get_double("mu", 0.0), FlagError);
+  EXPECT_THROW(f.get_long("seed", 0), FlagError);  // empty value
+}
+
+TEST(Flags, TrailingGarbageThrows) {
+  auto f = make({"--nodes=12abc", "--slots=5000x", "--mu=0.05.1",
+                 "--big=99999999999999999999"});
+  EXPECT_THROW(f.get_int("nodes", 0), FlagError);
+  EXPECT_THROW(f.get_long("slots", 0), FlagError);
+  EXPECT_THROW(f.get_double("mu", 0.0), FlagError);
+  EXPECT_THROW(f.get_long("big", 0), FlagError);  // out of range
+  // Whole values of every numeric spelling still parse.
+  auto ok = make({"--n=-7", "--l=1000000", "--d=1e-3"});
+  EXPECT_EQ(ok.get_int("n", 0), -7);
+  EXPECT_EQ(ok.get_long("l", 0), 1000000L);
+  EXPECT_DOUBLE_EQ(ok.get_double("d", 0.0), 1e-3);
 }
 
 TEST(Flags, PositionalArguments) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <ostream>
 
 #include "impatience/utility/families.hpp"
 
@@ -219,8 +220,17 @@ TEST(MixtureUtility, CloneIsDeep) {
 
 // -------------------------------------------------- generic invariants
 
-class AllFamiliesTest
-    : public ::testing::TestWithParam<const DelayUtility*> {};
+// A labelled family instance. CMake's test discovery names each ctest
+// case after the printed parameter, so the parameter prints as a fixed
+// label rather than as an address that changes from run to run.
+struct FamilyCase {
+  const char* label;
+  const DelayUtility* utility;
+};
+
+void PrintTo(const FamilyCase& c, std::ostream* os) { *os << c.label; }
+
+class AllFamiliesTest : public ::testing::TestWithParam<FamilyCase> {};
 
 // Shared instances for the parameterized sweep.
 const StepUtility kStep(1.0);
@@ -230,13 +240,17 @@ const PowerUtility kPowerCost2(-1.5);
 const PowerUtility kPowerCritical(1.5);
 const NegLogUtility kNegLog;
 
-INSTANTIATE_TEST_SUITE_P(Families, AllFamiliesTest,
-                         ::testing::Values(&kStep, &kExp, &kPowerCost,
-                                           &kPowerCost2, &kPowerCritical,
-                                           &kNegLog));
+INSTANTIATE_TEST_SUITE_P(
+    Families, AllFamiliesTest,
+    ::testing::Values(FamilyCase{"Step", &kStep},
+                      FamilyCase{"Exponential", &kExp},
+                      FamilyCase{"PowerCost", &kPowerCost},
+                      FamilyCase{"PowerCost2", &kPowerCost2},
+                      FamilyCase{"PowerCritical", &kPowerCritical},
+                      FamilyCase{"NegLog", &kNegLog}));
 
 TEST_P(AllFamiliesTest, ValueIsNonIncreasing) {
-  const DelayUtility& u = *GetParam();
+  const DelayUtility& u = *GetParam().utility;
   double prev = u.value(0.01);
   for (double t = 0.02; t < 20.0; t *= 1.3) {
     const double v = u.value(t);
@@ -246,7 +260,7 @@ TEST_P(AllFamiliesTest, ValueIsNonIncreasing) {
 }
 
 TEST_P(AllFamiliesTest, TimeWeightedTransformIsPositiveAndDecreasing) {
-  const DelayUtility& u = *GetParam();
+  const DelayUtility& u = *GetParam().utility;
   double prev = u.time_weighted_transform(0.05);
   EXPECT_GT(prev, 0.0);
   for (double M = 0.1; M < 50.0; M *= 2.0) {
@@ -258,7 +272,7 @@ TEST_P(AllFamiliesTest, TimeWeightedTransformIsPositiveAndDecreasing) {
 }
 
 TEST_P(AllFamiliesTest, ExpectedGainIncreasesWithFulfilmentRate) {
-  const DelayUtility& u = *GetParam();
+  const DelayUtility& u = *GetParam().utility;
   double prev = u.expected_gain(0.05);
   for (double M = 0.1; M < 50.0; M *= 2.0) {
     const double v = u.expected_gain(M);
@@ -268,7 +282,7 @@ TEST_P(AllFamiliesTest, ExpectedGainIncreasesWithFulfilmentRate) {
 }
 
 TEST_P(AllFamiliesTest, CloneAgrees) {
-  const DelayUtility& u = *GetParam();
+  const DelayUtility& u = *GetParam().utility;
   const auto copy = u.clone();
   EXPECT_EQ(copy->name(), u.name());
   for (double t : {0.3, 1.0, 4.2}) {
