@@ -17,7 +17,9 @@
 
 using namespace impatience;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   util::Flags flags(argc, argv);
   const trace::NodeId nodes =
       static_cast<trace::NodeId>(flags.get_int("nodes", 50));
@@ -247,4 +249,10 @@ int main(int argc, char** argv) {
        {"seed", std::to_string(seed)}});
   std::cout << "U(OPT) reference: " << u_opt << '\n';
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main("ablation_qcr", run, argc, argv);
 }

@@ -130,6 +130,12 @@ bool apply_fault_flags(const util::Flags& flags, fault::FaultConfig& faults);
 void banner(const std::string& id, const std::string& what,
             std::ostream& out = std::cout);
 
+/// Runs a harness body as its main(): a flag value that does not parse
+/// (util::FlagError, e.g. `--trials x`) prints one line naming the flag on
+/// stderr and exits 2 instead of ending in std::terminate.
+int run_main(const char* name, int (*body)(int, char**), int argc,
+             char** argv);
+
 // ------------------------------------------------------------------ impl
 
 inline ComparisonPoint run_comparison(const core::Scenario& scenario,
@@ -138,8 +144,11 @@ inline ComparisonPoint run_comparison(const core::Scenario& scenario,
                                       const ComparisonConfig& config,
                                       std::uint64_t root_seed,
                                       engine::RunReport* accumulate) {
-  // Placements first (serial, cheap): one child stream per trial so the
-  // competitor set is identical for every thread count.
+  // Placements first, serially: one child stream per trial so the
+  // competitor set is identical for every thread count. With
+  // OptMode::kEstimated the lazy-greedy OPT dominates this loop; it draws
+  // no randomness, so build_competitors computes it on the first trial
+  // and reuses it for the rest (docs/perf.md §8).
   std::vector<std::vector<core::NamedPlacement>> placements;
   placements.reserve(static_cast<std::size_t>(config.trials));
   for (int trial = 0; trial < config.trials; ++trial) {
@@ -392,6 +401,16 @@ inline bool apply_fault_flags(const util::Flags& flags,
 inline void banner(const std::string& id, const std::string& what,
                    std::ostream& out) {
   out << "\n=== " << id << ": " << what << " ===\n";
+}
+
+inline int run_main(const char* name, int (*body)(int, char**), int argc,
+                    char** argv) {
+  try {
+    return body(argc, argv);
+  } catch (const util::FlagError& e) {
+    std::cerr << name << ": " << e.what() << '\n';
+    return 2;
+  }
 }
 
 }  // namespace impatience::bench

@@ -34,9 +34,7 @@ double tail_mean(const std::vector<stats::SeriesPoint>& s) {
   return n ? total / static_cast<double>(n) : 0.0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::Flags flags(argc, argv);
   const trace::NodeId nodes = static_cast<trace::NodeId>(
       flags.get_int("nodes", 50));
@@ -148,4 +146,10 @@ int main(int argc, char** argv) {
                  "(paper: QCRWOM degrades over time)\n";
   }
   return ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main("fig3_faulty", run, argc, argv);
 }

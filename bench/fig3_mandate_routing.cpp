@@ -26,9 +26,7 @@ std::string fmt(double v, int precision = 4) {
   return os.str();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::Flags flags(argc, argv);
   const trace::NodeId nodes = static_cast<trace::NodeId>(
       flags.get_int("nodes", 50));
@@ -162,4 +160,10 @@ int main(int argc, char** argv) {
   std::cout << "QCR sustains " << (qcr >= wom ? "higher" : "LOWER")
             << " utility than QCRWOM (paper: QCRWOM degrades over time)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main("fig3_mandate_routing", run, argc, argv);
 }

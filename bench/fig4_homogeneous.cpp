@@ -212,10 +212,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const util::FlagError& e) {
-    std::cerr << "fig4: " << e.what() << '\n';
-    return 2;
-  }
+  return bench::run_main("fig4_homogeneous", run, argc, argv);
 }

@@ -15,7 +15,9 @@
 
 using namespace impatience;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   util::Flags flags(argc, argv);
   const int trials = flags.get_int("trials", 5);
   const int rho = flags.get_int("rho", 5);
@@ -174,4 +176,10 @@ int main(int argc, char** argv) {
                "occasionally on the bursty trace (OPT is memoryless-"
                "approximate).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main("fig5_infocom", run, argc, argv);
 }

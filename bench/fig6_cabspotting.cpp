@@ -15,7 +15,9 @@
 
 using namespace impatience;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   util::Flags flags(argc, argv);
   const int trials = flags.get_int("trials", 5);
   const int rho = flags.get_int("rho", 5);
@@ -142,4 +144,10 @@ int main(int argc, char** argv) {
                                {"mean_wave_width",
                                 std::to_string(conflict.mean_wave_width)}});
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main("fig6_cabspotting", run, argc, argv);
 }

@@ -2,6 +2,8 @@
 // solvers, trace generation and simulator throughput.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <limits>
 #include <numeric>
 #include <utility>
 
@@ -240,6 +242,40 @@ void BM_LazyGreedyFig5Naive(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LazyGreedyFig5Naive)->Unit(benchmark::kMillisecond);
+
+// One tau point of the fig5 sweep as bench::run_comparison builds it: the
+// paper's fig5 scenario (50 Infocom-like nodes over 3 days, 50 Pareto(1)
+// items, rho = 5) and 24 trials' competitor sets with the estimated OPT,
+// each trial from its own placement stream. Successive iterations step
+// tau between two adjacent doubles, so every iteration's first call
+// misses the OPT reuse exactly as each new tau point of a sweep does.
+const core::Scenario& fig5_sweep_scenario() {
+  static const core::Scenario scenario = [] {
+    util::Rng rng(2030);
+    trace::InfocomLikeParams params;
+    params.num_nodes = 50;
+    params.days = 3;
+    return core::make_scenario(trace::generate_infocom_like(params, rng),
+                               core::Catalog::pareto(50, 1.0, 1.0), 5);
+  }();
+  return scenario;
+}
+
+void BM_BuildCompetitorsFig5(benchmark::State& state) {
+  const auto& scenario = fig5_sweep_scenario();
+  const double taus[] = {
+      60.0, std::nextafter(60.0, std::numeric_limits<double>::infinity())};
+  std::size_t point = 0;
+  for (auto _ : state) {
+    const utility::StepUtility u(taus[point++ % 2]);
+    for (std::uint64_t trial = 0; trial < 24; ++trial) {
+      util::Rng placement_rng(trial);
+      benchmark::DoNotOptimize(core::build_competitors(
+          scenario, u, core::OptMode::kEstimated, placement_rng));
+    }
+  }
+}
+BENCHMARK(BM_BuildCompetitorsFig5)->Unit(benchmark::kMillisecond);
 
 void BM_LossTransformTabulated(benchmark::State& state) {
   const utility::TabulatedUtility u(

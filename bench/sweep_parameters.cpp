@@ -9,7 +9,9 @@
 
 using namespace impatience;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   util::Flags flags(argc, argv);
   const auto nodes = static_cast<trace::NodeId>(flags.get_int("nodes", 50));
   const trace::Slot slots = flags.get_long("slots", 4000);
@@ -90,4 +92,10 @@ int main(int argc, char** argv) {
                "room forgives\nmisallocation) and widen with omega (skew "
                "raises the stakes); QCR tracks OPT\nthroughout.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main("sweep_parameters", run, argc, argv);
 }

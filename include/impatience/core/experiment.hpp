@@ -50,6 +50,11 @@ struct NamedPlacement {
 
 /// The paper's competitor set, in order: OPT, UNI, SQRT, PROP, DOM.
 /// All receive the perfect control channel: exact cache presets.
+/// The kEstimated OPT draws nothing from `rng`, so a call whose trace,
+/// demand, capacity and utility fingerprints equal the previous call's
+/// reuses that call's OPT placement (the same bits) instead of rerunning
+/// the lazy greedy; UNI/SQRT/PROP/DOM and the kHomogeneous OPT are built
+/// afresh from `rng` every time. Thread-safe.
 std::vector<NamedPlacement> build_competitors(
     const Scenario& scenario, const utility::DelayUtility& utility,
     OptMode opt_mode, util::Rng& rng);

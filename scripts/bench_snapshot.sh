@@ -2,10 +2,11 @@
 # Perf snapshot for the greedy/simulator hot paths (see docs/perf.md).
 #
 # Runs the before/after micro-benchmark pairs — marginal-gain evaluation,
-# the fig5-like end-to-end greedy (98 nodes, 500 items), the transform
-# memo, demand sampling (linear scan vs alias tables), the fig6-like
-# simulation kernels (slot-stepped vs event-driven), the fig3-like faulty
-# kernels and the QCR welfare probe (from-scratch vs incremental) — and
+# the fig5-like end-to-end greedy (98 nodes, 500 items), one fig5 sweep
+# point's 24 competitor sets (estimated OPT), the transform memo, demand
+# sampling (linear scan vs alias tables), the fig6-like simulation
+# kernels (slot-stepped vs event-driven), the fig3-like faulty kernels
+# and the QCR welfare probe (from-scratch vs incremental) — and
 # writes the google-benchmark JSON to BENCH_PR<current>.json so the perf
 # trajectory accrues in-repo. The *Naive/*Linear/*Slot/*Scratch benches
 # ARE the "before" numbers: they run the reference paths on the same
@@ -84,7 +85,7 @@ bin_build_type() {
 print(json.load(sys.stdin)["context"].get("impatience_build_type", "unknown"))'
 }
 
-FILTER='BM_(MarginalGainNaive|MarginalOracle|LazyGreedyFig5Oracle|LazyGreedyFig5Naive|LossTransformTabulated|LossTransformCached|DemandSampleLinear|DemandSampleAlias|SimulateFig6Slot|SimulateFig6Event|SimulateFig3FaultySlot|SimulateFig3FaultyEvent|SimulateFig5Intra1|SimulateFig5Intra4|SimulateFig5Intra8|PartitionSlot|QcrWelfareProbeScratch|QcrWelfareProbeIncremental|SimulateFig4Event500|MeanFieldFig4|MeanFieldMillion|MaterializedTrace|StreamingTrace|ServiceThroughput|ServiceSnapshot|SnapshotDelta|ServiceMetricsScrape|FeederThroughput)'
+FILTER='BM_(MarginalGainNaive|MarginalOracle|LazyGreedyFig5Oracle|LazyGreedyFig5Naive|BuildCompetitorsFig5|LossTransformTabulated|LossTransformCached|DemandSampleLinear|DemandSampleAlias|SimulateFig6Slot|SimulateFig6Event|SimulateFig3FaultySlot|SimulateFig3FaultyEvent|SimulateFig5Intra1|SimulateFig5Intra4|SimulateFig5Intra8|PartitionSlot|QcrWelfareProbeScratch|QcrWelfareProbeIncremental|SimulateFig4Event500|MeanFieldFig4|MeanFieldMillion|MaterializedTrace|StreamingTrace|ServiceThroughput|ServiceSnapshot|SnapshotDelta|ServiceMetricsScrape|FeederThroughput)'
 
 if [[ "$CHECK" == 1 ]]; then
   # Smoke subset: skip the end-to-end greedy benches (the naive baseline

@@ -4,6 +4,7 @@
 // the test ThreadSanitizer is pointed at (ctest -L engine).
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 #include "impatience/core/experiment.hpp"
@@ -84,6 +85,62 @@ TEST(SimParallel, SharedScenarioTrialsAreThreadCountInvariant) {
     EXPECT_EQ(serial.jobs[i].policy, wide.jobs[i].policy);
     EXPECT_EQ(serial.jobs[i].result.value, wide.jobs[i].result.value)
         << serial.jobs[i].policy << " trial " << serial.jobs[i].trial;
+  }
+}
+
+bool same_competitors(const std::vector<core::NamedPlacement>& a,
+                      const std::vector<core::NamedPlacement>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    const auto& pa = a[k].placement;
+    const auto& pb = b[k].placement;
+    if (a[k].name != b[k].name || pa.num_items() != pb.num_items() ||
+        pa.num_servers() != pb.num_servers()) {
+      return false;
+    }
+    for (core::ItemId i = 0; i < pa.num_items(); ++i) {
+      for (core::NodeId n = 0; n < pa.num_servers(); ++n) {
+        if (pa.has(i, n) != pb.has(i, n)) return false;
+      }
+    }
+  }
+  return true;
+}
+
+TEST(SimParallel, ConcurrentEstimatedCompetitorsMatchSerial) {
+  // build_competitors reuses the last estimated OPT behind a mutex; four
+  // threads alternating two utilities must each get the serial result.
+  const auto scenario = small_scenario(91);
+  const utility::StepUtility short_tau(2.0);
+  const utility::StepUtility long_tau(50.0);
+  const utility::DelayUtility* utilities[] = {&short_tau, &long_tau};
+  const auto build = [&](int which) {
+    util::Rng rng(static_cast<std::uint64_t>(100 + which));
+    return core::build_competitors(scenario, *utilities[which],
+                                   core::OptMode::kEstimated, rng);
+  };
+  const std::vector<std::vector<core::NamedPlacement>> serial{build(0),
+                                                              build(1)};
+  // Different OPTs, so a reuse of the wrong entry would show.
+  ASSERT_FALSE(same_competitors({serial[0][0]}, {serial[1][0]}));
+
+  constexpr int kThreads = 4;
+  constexpr int kCalls = 6;
+  std::vector<std::vector<std::vector<core::NamedPlacement>>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int c = 0; c < kCalls; ++c) got[t].push_back(build((t + c) % 2));
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got[t].size(), static_cast<std::size_t>(kCalls));
+    for (int c = 0; c < kCalls; ++c) {
+      EXPECT_TRUE(same_competitors(got[t][c], serial[(t + c) % 2]))
+          << "thread " << t << " call " << c;
+    }
   }
 }
 
