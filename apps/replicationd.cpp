@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -41,14 +42,34 @@ void handle_signal(int) {
   if (g_token) g_token->cancel(util::CancelReason::shutdown);
 }
 
+/// Upper bound of the counts that land in 32-bit fields (node and item
+/// ids, shard and thread counts): what --nodes took as an int before.
+constexpr long kMaxInt = std::numeric_limits<int>::max();
+
+/// A size or count flag. These feed unsigned fields, where a negative
+/// value would wrap (--ingest-buffer=-1 became ~1.8e19 bytes: unbounded
+/// buffering), so it is refused like a value that does not parse.
+std::uint64_t get_count(const util::Flags& flags, const std::string& key,
+                        long fallback,
+                        long max = std::numeric_limits<long>::max()) {
+  const long value = flags.get_long(key, fallback);
+  if (value < 0 || value > max) {
+    throw util::FlagError(
+        key, std::to_string(value),
+        max == std::numeric_limits<long>::max()
+            ? "a non-negative integer"
+            : "an integer in [0, " + std::to_string(max) + "]");
+  }
+  return static_cast<std::uint64_t>(value);
+}
+
 int run_generator(const util::Flags& flags) {
   service::StreamConfig config;
-  config.events =
-      static_cast<std::uint64_t>(flags.get_long("gen-stream", 1000));
+  config.events = get_count(flags, "gen-stream", 1000);
   config.num_nodes =
-      static_cast<service::NodeId>(flags.get_int("nodes", 50));
+      static_cast<service::NodeId>(get_count(flags, "nodes", 50, kMaxInt));
   config.num_items =
-      static_cast<service::ItemId>(flags.get_int("items", 50));
+      static_cast<service::ItemId>(get_count(flags, "items", 50, kMaxInt));
   config.zipf = flags.get_double("zipf", 1.0);
   config.request_fraction = flags.get_double("request-fraction", 0.5);
   config.crash_fraction = flags.get_double("crash-fraction", 0.0);
@@ -74,9 +95,9 @@ int run_generator(const util::Flags& flags) {
 int run_daemon(const util::Flags& flags) {
   service::DaemonConfig config;
   config.store.num_nodes =
-      static_cast<service::NodeId>(flags.get_int("nodes", 50));
+      static_cast<service::NodeId>(get_count(flags, "nodes", 50, kMaxInt));
   config.store.num_items =
-      static_cast<service::ItemId>(flags.get_int("items", 50));
+      static_cast<service::ItemId>(get_count(flags, "items", 50, kMaxInt));
   config.store.cache_capacity = flags.get_int("capacity", 5);
   config.store.sticky_replicas = flags.get_bool("sticky", true);
   config.store.utility_spec = flags.get_string("utility", "step:tau=10");
@@ -89,23 +110,19 @@ int run_daemon(const util::Flags& flags) {
   config.input_path = flags.get_string("input", "-");
   config.follow = flags.get_bool("follow", false);
   config.follow_poll_s = flags.get_duration("follow-poll", 0.05);
-  config.ingest_buffer_bytes = static_cast<std::size_t>(
-      flags.get_long("ingest-buffer", 256 * 1024));
+  config.ingest_buffer_bytes = get_count(flags, "ingest-buffer", 256 * 1024);
   config.http_port = flags.get_int("port", 0);
   config.snapshot_path = flags.get_string("snapshot", "");
   config.snapshot_interval_s = flags.get_duration("snapshot-interval", 0.0);
-  config.snapshot_every =
-      static_cast<std::uint64_t>(flags.get_long("snapshot-every", 0));
+  config.snapshot_every = get_count(flags, "snapshot-every", 0);
   config.restore = flags.get_bool("restore", false);
   config.snapshot_deltas = flags.get_bool("snapshot-deltas", false);
-  config.snapshot_delta_limit = static_cast<std::size_t>(
-      flags.get_long("snapshot-delta-limit", 16));
+  config.snapshot_delta_limit = get_count(flags, "snapshot-delta-limit", 16);
   config.apply.shards =
-      static_cast<unsigned>(flags.get_int("shards", 1));
-  config.apply.threads =
-      static_cast<unsigned>(flags.get_int("apply-threads", 1));
-  config.apply.window = static_cast<std::size_t>(
-      flags.get_long("apply-window", 256));
+      static_cast<unsigned>(get_count(flags, "shards", 1, kMaxInt));
+  config.apply.threads = static_cast<unsigned>(
+      get_count(flags, "apply-threads", 1, kMaxInt));
+  config.apply.window = get_count(flags, "apply-window", 256);
   config.announce_path = flags.get_string("announce", "");
   const double deadline_s = flags.get_duration("deadline", 0.0);
 
@@ -187,6 +204,10 @@ int main(int argc, char** argv) {
   try {
     if (flags.has("gen-stream")) return run_generator(flags);
     return run_daemon(flags);
+  } catch (const util::FlagError& e) {
+    // A usage error, as in the bench harnesses: exit 2 naming the flag.
+    std::cerr << "replicationd: " << e.what() << '\n';
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "replicationd: " << e.what() << '\n';
     return 1;

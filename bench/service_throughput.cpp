@@ -1,12 +1,18 @@
 // replicationd service benchmarks: sustained event-apply throughput of
-// the versioned state store, snapshot serialization cost, and /metrics
-// scrape latency while a mutator thread is applying events (the daemon's
-// steady-state contention pattern). Compiled into micro_benchmarks so
+// the versioned state store, socket line framing, snapshot serialization
+// cost, and /metrics scrape latency while a mutator thread is applying
+// events (the daemon's steady-state contention pattern). Compiled into micro_benchmarks so
 // scripts/bench_snapshot.sh snapshots the *_mean numbers per PR.
 #include <benchmark/benchmark.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cstring>
+#include <filesystem>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -88,6 +94,62 @@ void BM_ServiceThroughputSharded(benchmark::State& state) {
                           static_cast<std::int64_t>(lines.size()));
 }
 BENCHMARK(BM_ServiceThroughputSharded)->Arg(2)->Arg(4)
+    ->Unit(benchmark::kMillisecond);
+
+// Socket framing: 10^6 lines of ~10 bytes through the daemon's socket
+// line source over one Unix-domain connection, at the 4 KiB buffer floor
+// and at the 256 KiB default cap. The writer blocks on the kernel socket
+// buffer, so the source runs its drain-and-serve cycle at that cap just
+// as the daemon's ingest thread does; nothing is parsed or applied.
+void BM_SocketSourceLines(benchmark::State& state) {
+  const auto cap = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kLines = 1000000;
+  std::string text;
+  text.reserve(kLines * 12);
+  for (std::size_t i = 0; i < kLines; ++i) {
+    text += "C " + std::to_string(i % 997) + ' ' +
+            std::to_string(i % 1009) + '\n';
+  }
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("impatience_bm_lines_" + std::to_string(::getpid()) + ".sock"))
+          .string();
+  std::atomic<bool> stop{false};
+  for (auto _ : state) {
+    auto source = service::make_socket_source(path, nullptr, cap);
+    std::thread writer([&] {
+      const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+      sockaddr_un addr{};
+      addr.sun_family = AF_UNIX;
+      std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+      std::size_t off = 0;
+      if (::connect(fd, reinterpret_cast<sockaddr*>(&addr),
+                    sizeof(addr)) == 0) {
+        while (off < text.size()) {
+          const ssize_t n =
+              ::send(fd, text.data() + off, text.size() - off, MSG_NOSIGNAL);
+          if (n <= 0) break;
+          off += static_cast<std::size_t>(n);
+        }
+      }
+      ::close(fd);
+      if (off < text.size()) stop.store(true);  // unblock the reader
+    });
+    std::size_t served = 0;
+    while (served < kLines && source->next_line(stop)) ++served;
+    writer.join();
+    benchmark::DoNotOptimize(served);
+    if (served < kLines) {
+      state.SkipWithError("socket feed failed");
+      break;
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kLines));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_SocketSourceLines)->Arg(4096)->Arg(256 * 1024)
     ->Unit(benchmark::kMillisecond);
 
 // Copy-on-read image + line serialization: the cost the snapshot thread

@@ -14,7 +14,9 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "impatience/engine/artifacts.hpp"
 #include "impatience/service/http.hpp"
@@ -105,26 +107,24 @@ class SocketSource final : public LineSource {
   std::optional<std::string> next_line(
       const std::atomic<bool>& stop) override {
     for (;;) {
-      // A fresh connection while a fragment is held: the first complete
-      // line decides whether the fragment glues or drops (see resolve),
-      // so nothing is served until that line exists.
-      if (deciding_ && buffer_.find('\n') != std::string::npos) {
-        resolve_fragment();
-        continue;
-      }
-      if (!deciding_) {
-        const std::size_t nl = buffer_.find('\n');
-        if (nl != std::string::npos) {
-          // Backpressure accounting: lines served while the buffer sits
-          // at/above its cap are events the transport deferred reads for.
-          if (counters_ && buffer_.size() >= cap_) {
-            counters_->events_deferred.fetch_add(1,
-                                                 std::memory_order_relaxed);
-          }
-          std::string line = buffer_.substr(0, nl);
-          buffer_.erase(0, nl + 1);
-          return line;
+      const std::size_t nl = find_newline();
+      if (nl != kNone) {
+        // A fresh connection while a fragment is held: the first complete
+        // line decides whether the fragment glues or drops (see resolve),
+        // so nothing is served until that line exists.
+        if (deciding_) {
+          resolve_fragment(nl);
+          continue;
         }
+        // Backpressure accounting: lines served while the buffer sits
+        // at/above its cap are events the transport deferred reads for.
+        if (counters_ && buffered() >= cap_) {
+          counters_->events_deferred.fetch_add(1, std::memory_order_relaxed);
+        }
+        std::string line(storage_.data() + head_, nl - head_);
+        head_ = nl + 1;
+        scan_ = head_;
+        return line;
       }
       if (stop.load(std::memory_order_relaxed)) return std::nullopt;
       if (conn_fd_ < 0) {
@@ -150,10 +150,12 @@ class SocketSource final : public LineSource {
       // queueing only: a single unterminated line keeps reading past it
       // (else ingest would deadlock — the same unboundedness the file
       // source's getline has).
-      bool have_line = buffer_.find('\n') != std::string::npos;
-      while (!have_line || buffer_.size() < cap_) {
-        char buf[4096];
-        const ssize_t n = ::recv(conn_fd_, buf, sizeof(buf), MSG_DONTWAIT);
+      while (find_newline() == kNone || buffered() < cap_) {
+        const std::size_t want =
+            std::max(cap_ - std::min(buffered(), cap_), kMinRecv);
+        reserve_tail(want);
+        const ssize_t n =
+            ::recv(conn_fd_, storage_.data() + tail_, want, MSG_DONTWAIT);
         if (n < 0) {
           if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
             break;
@@ -165,17 +167,15 @@ class SocketSource final : public LineSource {
           close_conn();
           break;
         }
-        if (std::memchr(buf, '\n', static_cast<std::size_t>(n)) != nullptr) {
-          have_line = true;
-        }
-        buffer_.append(buf, static_cast<std::size_t>(n));
+        tail_ += static_cast<std::size_t>(n);
       }
       if (counters_) {
+        const std::uint64_t now = buffered();
         std::uint64_t hw =
             counters_->buffer_high_water.load(std::memory_order_relaxed);
-        while (hw < buffer_.size() &&
+        while (hw < now &&
                !counters_->buffer_high_water.compare_exchange_weak(
-                   hw, buffer_.size(), std::memory_order_relaxed)) {
+                   hw, now, std::memory_order_relaxed)) {
         }
       }
     }
@@ -192,26 +192,70 @@ class SocketSource final : public LineSource {
   bool has_buffered_line() override {
     // Exact for sockets: a complete line is already drained into the
     // buffer (a fragment under decision is not servable yet).
-    return !deciding_ && buffer_.find('\n') != std::string::npos;
+    return !deciding_ && find_newline() != kNone;
   }
 
  private:
+  static constexpr std::size_t kNone = std::string::npos;
+  /// Smallest recv: what a single unterminated line over the cap grows by.
+  static constexpr std::size_t kMinRecv = 4096;
+
+  std::size_t buffered() const { return tail_ - head_; }
+
+  /// Offset of the first '\n' at or after the head, or kNone. Bytes
+  /// [head_, scan_) are known to hold none, so each byte is searched once
+  /// however often the drain loop and the batching hint ask.
+  std::size_t find_newline() {
+    if (scan_ == tail_) return kNone;
+    const void* nl =
+        std::memchr(storage_.data() + scan_, '\n', tail_ - scan_);
+    if (nl == nullptr) {
+      scan_ = tail_;
+      return kNone;
+    }
+    scan_ = static_cast<std::size_t>(static_cast<const char*>(nl) -
+                                     storage_.data());
+    return scan_;
+  }
+
+  /// Moves the buffered bytes to the front of the storage.
+  void compact() {
+    std::memmove(storage_.data(), storage_.data() + head_, buffered());
+    tail_ -= head_;
+    scan_ -= head_;
+    head_ = 0;
+  }
+
+  /// Room for `n` more bytes at the tail. Served bytes are reclaimed only
+  /// once the head has passed half the filled storage, so each compaction
+  /// moves fewer bytes than were served since the last one (O(1) per
+  /// byte); otherwise the storage doubles.
+  void reserve_tail(std::size_t n) {
+    if (storage_.size() - tail_ >= n) return;
+    if (head_ > tail_ / 2) {
+      compact();
+      if (storage_.size() - tail_ >= n) return;
+    }
+    storage_.resize(std::max(2 * storage_.size(), tail_ + n));
+  }
+
   void close_conn() {
     ::close(conn_fd_);
     conn_fd_ = -1;
     // A dying connection that did deliver its first complete line still
     // gets its fragment decision (the greedy drain can learn of the
     // close with complete lines already buffered).
-    if (deciding_ && buffer_.find('\n') != std::string::npos) {
-      resolve_fragment();
+    if (deciding_) {
+      const std::size_t nl = find_newline();
+      if (nl != kNone) resolve_fragment(nl);
     }
     if (deciding_) {
       // Died before its first complete line: its bytes chain onto the
       // held fragment (arrival order) and the decision passes to the
       // next connection (accept re-derives deciding_ from fragment_).
-      if (!buffer_.empty()) {
-        fragment_ += buffer_;
-        buffer_.clear();
+      if (buffered() > 0) {
+        fragment_.append(storage_.data() + head_, buffered());
+        head_ = tail_ = scan_ = 0;
         if (counters_) {
           counters_->frames_partial.fetch_add(1, std::memory_order_relaxed);
         }
@@ -222,42 +266,53 @@ class SocketSource final : public LineSource {
     // Hold (never flush) the unterminated trailing line: the next
     // connection decides its fate. Complete lines stay buffered and
     // keep being served.
-    const std::size_t last = buffer_.rfind('\n');
-    const std::size_t tail = last == std::string::npos ? 0 : last + 1;
-    if (tail < buffer_.size()) {
-      fragment_ += buffer_.substr(tail);
-      buffer_.erase(tail);
+    const std::string_view rest(storage_.data() + head_, buffered());
+    const std::size_t last = rest.rfind('\n');
+    const std::size_t keep = last == kNone ? 0 : last + 1;
+    if (keep < rest.size()) {
+      fragment_.append(rest.substr(keep));
+      tail_ = head_ + keep;
+      scan_ = std::min(scan_, tail_);
       if (counters_) {
         counters_->frames_partial.fetch_add(1, std::memory_order_relaxed);
       }
     }
   }
 
-  void resolve_fragment() {
-    const std::size_t nl = buffer_.find('\n');
-    const std::string_view first(buffer_.data(), nl);
+  /// Decides the held fragment on the new connection's first complete
+  /// line, which ends at `nl`.
+  void resolve_fragment(std::size_t nl) {
+    const std::string_view first(storage_.data() + head_, nl - head_);
     if (classify_line(first) == LineClass::hello) {
       // A new/resuming feeder opens with a hello and will re-send the
       // cut frame itself after seeking to the acked cursor — gluing its
       // bytes onto the fragment would corrupt the stream. Drop it.
-      fragment_.clear();
       if (counters_) {
         counters_->frames_partial_discarded.fetch_add(
             1, std::memory_order_relaxed);
       }
     } else {
       // A continuation feeder (no handshake): its bytes complete the
-      // cut frame exactly where it left off.
-      buffer_.insert(0, fragment_);
-      fragment_.clear();
+      // cut frame exactly where it left off. The fragment holds no
+      // newline, so the scan resumes past it.
+      storage_.insert(storage_.begin() + static_cast<std::ptrdiff_t>(head_),
+                      fragment_.begin(), fragment_.end());
+      tail_ += fragment_.size();
+      scan_ += fragment_.size();
     }
+    fragment_.clear();
     deciding_ = false;
   }
 
   std::string unlink_path_;
   int listen_fd_ = -1;
   int conn_fd_ = -1;
-  std::string buffer_;    ///< bytes from the current connection
+  /// Bytes from the current connection: [head_, tail_) are buffered,
+  /// [0, head_) were served, [tail_, size) is room for the next recv.
+  std::vector<char> storage_;
+  std::size_t head_ = 0;
+  std::size_t tail_ = 0;
+  std::size_t scan_ = 0;  ///< [head_, scan_) holds no '\n'
   std::string fragment_;  ///< unterminated tail of previous connection(s)
   bool deciding_ = false;
   IngestCounters* counters_ = nullptr;

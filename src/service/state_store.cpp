@@ -1,11 +1,15 @@
 #include "impatience/service/state_store.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "impatience/engine/artifacts.hpp"
@@ -19,13 +23,6 @@
 namespace impatience::service {
 
 namespace {
-
-/// %.17g round-trips every finite double through text exactly.
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 bool config_equal(const StoreConfig& a, const StoreConfig& b) {
   return a.num_nodes == b.num_nodes && a.num_items == b.num_items &&
@@ -798,28 +795,117 @@ namespace {
 
 constexpr std::string_view kDeltaMagic = "impatience.replicationd_delta/1";
 
-void write_config_record(std::ostream& body, const StoreConfig& c) {
+/// Builds one snapshot or delta file in a single buffer allocated up
+/// front from an upper bound on its size, so the text is held once, is
+/// never reallocated, and each field is formatted straight into place.
+/// Integers go through std::to_chars; doubles through to_chars(general,
+/// 17), which is byte-identical to printf's %.17g and round-trips every
+/// finite double through text exactly.
+class RecordWriter {
+ public:
+  explicit RecordWriter(std::size_t bound)
+      : text_(std::make_unique_for_overwrite<char[]>(bound)),
+        pos_(text_.get()),
+        end_(text_.get() + bound) {}
+
+  RecordWriter& operator<<(std::string_view s) {
+    if (s.size() > static_cast<std::size_t>(end_ - pos_)) overrun();
+    pos_ = std::copy(s.begin(), s.end(), pos_);
+    return *this;
+  }
+  RecordWriter& operator<<(char c) {
+    if (pos_ == end_) overrun();
+    *pos_++ = c;
+    return *this;
+  }
+  template <typename T>
+    requires std::is_integral_v<T>
+  RecordWriter& operator<<(T v) {
+    return advance(std::to_chars(pos_, end_, v));
+  }
+  RecordWriter& operator<<(double v) {
+    return advance(
+        std::to_chars(pos_, end_, v, std::chars_format::general, 17));
+  }
+
+  /// Appends "checksum <hex>\nend\n", writes the whole file to `out`
+  /// and returns the checksum of the body before the trailer.
+  std::uint64_t seal(std::ostream& out) {
+    const std::uint64_t sum =
+        engine::fnv1a64(std::string_view(text_.get(), pos_ - text_.get()));
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016" PRIx64, sum);
+    *this << "checksum " << std::string_view(hex, 16) << "\nend\n";
+    out.write(text_.get(), pos_ - text_.get());
+    return sum;
+  }
+
+  /// Widest field of each kind: a sign and 20 digits; "-d.<16>e-308".
+  static constexpr std::size_t kMaxInt = 21;
+  static constexpr std::size_t kMaxDouble = 24;
+
+ private:
+  RecordWriter& advance(std::to_chars_result r) {
+    if (r.ec != std::errc()) overrun();
+    pos_ = r.ptr;
+    return *this;
+  }
+  /// The size bound below is wrong: a program bug, never a short write.
+  [[noreturn]] static void overrun() {
+    throw std::logic_error("snapshot writer: size bound exceeded");
+  }
+
+  std::unique_ptr<char[]> text_;
+  char* pos_;
+  char* end_;
+};
+
+/// Upper bounds on the bytes each record takes, fields plus separators.
+constexpr std::size_t kIntField = RecordWriter::kMaxInt + 1;
+constexpr std::size_t kDoubleField = RecordWriter::kMaxDouble + 1;
+constexpr std::size_t kLineSlack = 16;  // record keyword and newline
+
+std::size_t scalar_records_bound(const StoreConfig& c) {
+  // The magic, then the parent, config, seed, state, counters, faults and
+  // nodes lines: 1 + 5 + 1 + 3 + 10 + 4 + 1 integers and 2 + 2 doubles.
+  return 64 + 7 * kLineSlack + c.utility_spec.size() + 25 * kIntField +
+         4 * kDoubleField;
+}
+
+std::size_t node_records_bound(const StateImage::NodeImage& ni) {
+  return 4 * kLineSlack + 6 * kIntField + ni.cache.size() * kIntField +
+         ni.mandates.size() * 2 * kIntField +
+         ni.pending.size() * 3 * kIntField;
+}
+
+std::size_t delays_record_bound(const std::vector<double>& d) {
+  return kLineSlack + kIntField + d.size() * kDoubleField;
+}
+
+constexpr std::size_t kTrailerBound = 32;
+
+void write_config_record(RecordWriter& body, const StoreConfig& c) {
   body << "config " << c.num_nodes << ' ' << c.num_items << ' '
        << c.cache_capacity << ' ' << (c.sticky_replicas ? 1 : 0) << ' '
-       << fmt_double(c.mu) << ' ' << fmt_double(c.reaction_scale) << ' '
+       << c.mu << ' ' << c.reaction_scale << ' '
        << (c.mandate_routing ? 1 : 0) << ' ' << c.utility_spec << '\n';
 }
 
-void write_counters_record(std::ostream& body, const StoreCounters& k) {
+void write_counters_record(RecordWriter& body, const StoreCounters& k) {
   body << "counters " << k.events_applied << ' ' << k.events_malformed << ' '
        << k.contacts << ' ' << k.requests_created << ' '
        << k.immediate_fulfillments << ' ' << k.fulfillments << ' '
        << k.requests_pending << ' ' << k.mandates_created << ' '
        << k.replicas_written << ' ' << k.mandates_outstanding << ' '
-       << fmt_double(k.total_gain) << ' ' << fmt_double(k.delay_sum) << '\n';
+       << k.total_gain << ' ' << k.delay_sum << '\n';
 }
 
-void write_faults_record(std::ostream& body, const fault::FaultCounters& f) {
+void write_faults_record(RecordWriter& body, const fault::FaultCounters& f) {
   body << "faults " << f.crashes << ' ' << f.replicas_lost << ' '
        << f.mandates_lost << ' ' << f.requests_lost << '\n';
 }
 
-void write_node_records(std::ostream& body, std::uint64_t id,
+void write_node_records(RecordWriter& body, std::uint64_t id,
                         const StateImage::NodeImage& ni) {
   body << "node " << id << ' ' << ni.server_meetings << ' ' << ni.sticky
        << '\n';
@@ -839,19 +925,10 @@ void write_node_records(std::ostream& body, std::uint64_t id,
   body << '\n';
 }
 
-void write_delays_record(std::ostream& body, const std::vector<double>& d) {
+void write_delays_record(RecordWriter& body, const std::vector<double>& d) {
   body << "delays " << d.size();
-  for (double v : d) body << ' ' << fmt_double(v);
+  for (double v : d) body << ' ' << v;
   body << '\n';
-}
-
-/// Appends "checksum <hex>\nend\n" and returns the body checksum.
-std::uint64_t seal_body(std::ostream& out, const std::string& text) {
-  const std::uint64_t sum = engine::fnv1a64(text);
-  char checksum[32];
-  std::snprintf(checksum, sizeof(checksum), "%016" PRIx64, sum);
-  out << text << "checksum " << checksum << '\n' << "end\n";
-  return sum;
 }
 
 /// Pass 1 of every reader: collect the body, verify checksum + trailer.
@@ -968,7 +1045,11 @@ void read_delays_record(LineReader& lines, std::vector<double>& delays) {
 }  // namespace
 
 std::uint64_t write_image(std::ostream& out, const StateImage& image) {
-  std::ostringstream body;
+  std::size_t bound = scalar_records_bound(image.config) +
+                      delays_record_bound(image.recent_delays) +
+                      kTrailerBound;
+  for (const auto& ni : image.nodes) bound += node_records_bound(ni);
+  RecordWriter body(bound);
   body << kMagic << '\n';
   write_config_record(body, image.config);
   body << "seed " << image.seed << '\n';
@@ -981,7 +1062,7 @@ std::uint64_t write_image(std::ostream& out, const StateImage& image) {
     write_node_records(body, n, image.nodes[n]);
   }
   write_delays_record(body, image.recent_delays);
-  return seal_body(out, body.str());
+  return body.seal(out);
 }
 
 StateImage read_image(std::istream& in, std::uint64_t* checksum) {
@@ -1037,7 +1118,11 @@ StateImage load_image(const std::string& path, std::uint64_t* checksum) {
 }
 
 std::uint64_t write_delta(std::ostream& out, const StateDelta& delta) {
-  std::ostringstream body;
+  std::size_t bound = scalar_records_bound(delta.config) +
+                      delays_record_bound(delta.recent_delays) +
+                      kTrailerBound;
+  for (const auto& [id, ni] : delta.nodes) bound += node_records_bound(ni);
+  RecordWriter body(bound);
   body << kDeltaMagic << '\n';
   body << "parent " << delta.parent_checksum << '\n';
   write_config_record(body, delta.config);
@@ -1051,7 +1136,7 @@ std::uint64_t write_delta(std::ostream& out, const StateDelta& delta) {
     write_node_records(body, id, ni);
   }
   write_delays_record(body, delta.recent_delays);
-  return seal_body(out, body.str());
+  return body.seal(out);
 }
 
 StateDelta read_delta(std::istream& in, std::uint64_t* checksum) {

@@ -8,6 +8,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -265,6 +266,51 @@ TEST(Replicationd, BoundedIngestBufferCountsBackpressure) {
   EXPECT_GE(daemon.ingest().buffer_high_water.load(), 4096u);
   EXPECT_GT(daemon.ingest().events_deferred.load(), 0u);
   EXPECT_GT(daemon.store().seq(), 1000u);  // the stream still all applied
+}
+
+// More than a mebibyte through the 4 KiB floor: every line is served from
+// a moving head over a buffer that is refilled and compacted ~250 times.
+// Nothing may be lost or applied twice, and buffering stays bounded.
+TEST(Replicationd, MebibyteStreamAtTheBufferFloorAppliesExactly) {
+  TempPath socket("repl_floor");
+  DaemonConfig config;
+  config.store = small_config();
+  config.seed = 36;
+  config.socket_path = socket.path();
+  config.http_port = -1;
+  config.ingest_buffer_bytes = 4096;
+  ReplicationDaemon daemon(config);
+
+  const std::string text = stream_text(120000, 37, /*quit=*/true);
+  ASSERT_GE(text.size(), std::size_t{1} << 20);
+  // In-process replay of the same lines: the daemon must end in the
+  // same state byte for byte, so a corrupted line fails even where it
+  // would still count.
+  StateStore replay(config.store, config.seed);
+  std::size_t longest = 0;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    longest = std::max(longest, line.size() + 1);
+    Event event;
+    const LineClass cls = classify_line(line, &event);
+    if (cls == LineClass::event) replay.apply(event);
+    if (cls == LineClass::malformed) replay.apply_malformed();
+  }
+
+  std::thread feeder([&] { feed_socket(socket.path(), text); });
+  daemon.run(nullptr);  // Q frame ends the stream
+  feeder.join();
+
+  EXPECT_EQ(daemon.store().seq(), replay.seq());
+  EXPECT_EQ(daemon.store().counters().events_malformed, 0u);
+  std::ostringstream served, expected;
+  write_image(served, daemon.store().image());
+  write_image(expected, replay.image());
+  EXPECT_EQ(served.str(), expected.str());
+  EXPECT_GT(daemon.ingest().events_deferred.load(), 0u);
+  // The cap, plus at most one recv past it, plus one unterminated line.
+  EXPECT_LE(daemon.ingest().buffer_high_water.load(),
+            config.ingest_buffer_bytes + 4096 + longest);
 }
 
 TEST(Replicationd, IngestsSocketStreamAndServesMetrics) {

@@ -175,16 +175,17 @@ ExpectedIngest reference_ingest(const std::vector<std::string>& conns) {
 /// tokenizer) are transport-agnostic, so the same checks run over both.
 enum class Transport { unix_socket, tcp };
 
-/// Runs the daemon over the connection blobs and checks every counter
-/// against the reference tokenizer.
-void run_and_check(const std::vector<std::string>& conns,
-                   std::uint64_t seed, const char* what,
-                   Transport transport = Transport::unix_socket) {
+/// Runs the daemon over the connection blobs at one ingest buffer cap
+/// and checks every counter against the reference tokenizer.
+void run_and_check_at(const std::vector<std::string>& conns,
+                      std::uint64_t seed, const std::string& what,
+                      Transport transport, std::size_t buffer_bytes) {
   const ExpectedIngest expected = reference_ingest(conns);
   TempPath socket("repl_fuzz_sock");
   DaemonConfig config;
   config.store = small_config();
   config.seed = seed;
+  config.ingest_buffer_bytes = buffer_bytes;
   if (transport == Transport::unix_socket) {
     config.socket_path = socket.path();
   } else {
@@ -232,6 +233,20 @@ void run_and_check(const std::vector<std::string>& conns,
       << what;
 }
 
+/// Every stream runs twice: at the default ingest buffer cap and at the
+/// 4 KiB floor, where the served-line head moves through the buffer and
+/// is compacted while fragments are held, glued and discarded.
+void run_and_check(const std::vector<std::string>& conns,
+                   std::uint64_t seed, const char* what,
+                   Transport transport = Transport::unix_socket) {
+  for (const std::size_t cap : {DaemonConfig{}.ingest_buffer_bytes,
+                                std::size_t{4096}}) {
+    run_and_check_at(conns, seed,
+                     std::string(what) + " @cap " + std::to_string(cap),
+                     transport, cap);
+  }
+}
+
 std::string clean_stream(std::uint64_t events, std::uint64_t seed) {
   StreamConfig config;
   config.events = events;
@@ -241,6 +256,29 @@ std::string clean_stream(std::uint64_t events, std::uint64_t seed) {
   std::ostringstream out;
   write_stream(out, generate_stream(config, seed));
   return out.str();
+}
+
+/// Cuts `base` at two random bytes into three connections, `rounds`
+/// times. The middle connection may open with a handshake (discarding
+/// the held cut fragment) or not (gluing it); the last one ends with Q.
+void run_three_way_cuts(const std::string& base, util::Rng& rng,
+                        int rounds, std::uint64_t seed, const char* what,
+                        Transport transport = Transport::unix_socket) {
+  for (int round = 0; round < rounds; ++round) {
+    std::size_t c1 = rng.uniform_index(base.size());
+    std::size_t c2 = rng.uniform_index(base.size());
+    if (c1 > c2) std::swap(c1, c2);
+    const bool handshake = rng.bernoulli(0.5);
+    std::vector<std::string> conns;
+    conns.push_back(base.substr(0, c1));
+    conns.push_back((handshake ? std::string("H\n") : std::string()) +
+                    base.substr(c1, c2 - c1));
+    conns.push_back(base.substr(c2) + "\nQ\n");
+    run_and_check(conns, seed + static_cast<std::uint64_t>(round),
+                  (std::string(what) + (handshake ? " + handshake" : ""))
+                      .c_str(),
+                  transport);
+  }
 }
 
 TEST(ReplicationdFuzz, TruncatedStreamsNeverThrowAndAccountExactly) {
@@ -278,23 +316,16 @@ TEST(ReplicationdFuzz, SplicedAndGarbledStreamsAccountExactly) {
 
 TEST(ReplicationdFuzz, MultiConnectionCutsWithAndWithoutHandshake) {
   util::Rng rng(9090);
-  const std::string base = clean_stream(150, 17);
-  for (int round = 0; round < 6; ++round) {
-    // Cut the stream at two random bytes into three connections; the
-    // middle one may open with a handshake (discarding the held cut
-    // fragment) or not (gluing it).
-    std::size_t c1 = rng.uniform_index(base.size());
-    std::size_t c2 = rng.uniform_index(base.size());
-    if (c1 > c2) std::swap(c1, c2);
-    const bool handshake = rng.bernoulli(0.5);
-    std::vector<std::string> conns;
-    conns.push_back(base.substr(0, c1));
-    conns.push_back((handshake ? std::string("H\n") : std::string()) +
-                    base.substr(c1, c2 - c1));
-    conns.push_back(base.substr(c2) + "\nQ\n");
-    run_and_check(conns, 300 + round,
-                  handshake ? "3-way cut + handshake" : "3-way cut");
-  }
+  run_three_way_cuts(clean_stream(150, 17), rng, 6, 300, "3-way cut");
+}
+
+TEST(ReplicationdFuzz, LongStreamCutsCrossTheBufferCap) {
+  // Cuts far past the first recv: at the 4 KiB floor the held fragment
+  // is taken from a buffer whose head has moved and compacted many times.
+  util::Rng rng(8118);
+  const std::string base = clean_stream(4000, 31);
+  ASSERT_GT(base.size(), 8u * 4096u);
+  run_three_way_cuts(base, rng, 4, 700, "long 3-way cut");
 }
 
 TEST(ReplicationdFuzz, DuplicatedChunksAreAppliedAsSent) {
@@ -325,19 +356,8 @@ TEST(ReplicationdFuzz, TcpTruncatedStreamsAccountExactly) {
 
 TEST(ReplicationdFuzz, TcpMultiConnectionCutsAccountExactly) {
   util::Rng rng(7007);
-  const std::string base = clean_stream(150, 29);
-  for (int round = 0; round < 4; ++round) {
-    std::size_t c1 = rng.uniform_index(base.size());
-    std::size_t c2 = rng.uniform_index(base.size());
-    if (c1 > c2) std::swap(c1, c2);
-    const bool handshake = rng.bernoulli(0.5);
-    std::vector<std::string> conns;
-    conns.push_back(base.substr(0, c1));
-    conns.push_back((handshake ? std::string("H\n") : std::string()) +
-                    base.substr(c1, c2 - c1));
-    conns.push_back(base.substr(c2) + "\nQ\n");
-    run_and_check(conns, 600 + round, "tcp 3-way cut", Transport::tcp);
-  }
+  run_three_way_cuts(clean_stream(150, 29), rng, 4, 600, "tcp 3-way cut",
+                     Transport::tcp);
 }
 
 }  // namespace

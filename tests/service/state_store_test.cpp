@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "impatience/util/errors.hpp"
 
@@ -139,6 +140,91 @@ TEST(ServiceStateStore, SnapshotRoundTripsByteExactly) {
   write_image(a, store.image());
   write_image(b, loaded);
   EXPECT_EQ(a.str(), b.str());
+}
+
+// Golden files (tests/service/golden/) pin the snapshot and delta formats
+// byte for byte. They were written by the ostream + %.17g writer the
+// format first shipped with, so a drift that stays self-consistent — say
+// shortest round-trip doubles instead of %.17g — still fails here, and
+// files already on disk keep restoring. The fixture store covers every
+// record shape: crashes, pending requests, mandates, unpinned nodes
+// (sticky -1) and non-integer doubles.
+StoreConfig golden_config() {
+  StoreConfig config = small_config();  // 16 nodes, 12 sticky seeders
+  config.utility_spec = "power:alpha=0.5";
+  return config;
+}
+
+/// The store records whole-slot delays; the format stores them as
+/// doubles, so the fixture appends fractional ones to pin that path too.
+void add_fractional_delays(std::vector<double>& delays) {
+  for (double d : {0.1, 2.5, 1.0 / 3.0, 1e-7, 6.02214076e23}) {
+    delays.push_back(d);
+  }
+}
+
+struct GoldenFixture {
+  StateImage image;
+  StateDelta delta;
+};
+
+GoldenFixture golden_fixture() {
+  const auto events = workload(300, 21, 0.02);
+  StateStore store(golden_config(), 17);
+  for (std::size_t i = 0; i < 400; ++i) store.apply(events[i]);
+  GoldenFixture g;
+  g.image = store.checkpoint_image();
+  add_fractional_delays(g.image.recent_delays);
+  for (std::size_t i = 400; i < 408; ++i) store.apply(events[i]);
+  g.delta = store.take_delta();
+  add_fractional_delays(g.delta.recent_delays);
+  std::ostringstream sink;
+  g.delta.parent_checksum = write_image(sink, g.image);
+  return g;
+}
+
+std::string golden_text(const char* name) {
+  const std::string path = std::string(IMPATIENCE_SERVICE_GOLDEN_DIR) + "/" +
+                           name;
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in) << "cannot open " << path;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+TEST(ServiceStateStore, WriterReproducesGoldenSnapshotBytes) {
+  const GoldenFixture g = golden_fixture();
+  EXPECT_GT(g.image.faults.crashes, 0u);
+  bool unpinned = false, pending = false, mandates = false;
+  for (const auto& ni : g.image.nodes) {
+    unpinned |= ni.sticky == -1;
+    pending |= !ni.pending.empty();
+    mandates |= !ni.mandates.empty();
+  }
+  EXPECT_TRUE(unpinned && pending && mandates);
+  EXPECT_FALSE(g.delta.nodes.empty());
+  EXPECT_LT(g.delta.nodes.size(), g.image.nodes.size());
+
+  std::ostringstream image, delta;
+  write_image(image, g.image);
+  write_delta(delta, g.delta);
+  EXPECT_EQ(image.str(), golden_text("store_image.snap"));
+  EXPECT_EQ(delta.str(), golden_text("store_delta.snap"));
+}
+
+TEST(ServiceStateStore, GoldenSnapshotsRoundTripThroughLoad) {
+  const std::string image_text = golden_text("store_image.snap");
+  std::istringstream image_in(image_text);
+  std::ostringstream image_out;
+  write_image(image_out, read_image(image_in));
+  EXPECT_EQ(image_out.str(), image_text);
+
+  const std::string delta_text = golden_text("store_delta.snap");
+  std::istringstream delta_in(delta_text);
+  std::ostringstream delta_out;
+  write_delta(delta_out, read_delta(delta_in));
+  EXPECT_EQ(delta_out.str(), delta_text);
 }
 
 // The acceptance criterion: interrupt at an arbitrary event, snapshot,
