@@ -15,7 +15,9 @@
 
 using namespace impatience;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   util::Flags flags(argc, argv);
   const auto nodes = static_cast<trace::NodeId>(flags.get_int("nodes", 30));
   const auto items = static_cast<core::ItemId>(flags.get_int("items", 30));
@@ -131,4 +133,10 @@ int main(int argc, char** argv) {
                "pulls ahead of rate-blind; QCR follows the\ndemand without "
                "being told about either structure.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main("extension_communities", run, argc, argv);
 }

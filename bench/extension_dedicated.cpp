@@ -65,9 +65,7 @@ double run_qcr_dedicated(const DedicatedSetting& s,
       .observed_utility();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::Flags flags(argc, argv);
   const auto servers = static_cast<trace::NodeId>(flags.get_int("servers", 25));
   const auto clients = static_cast<trace::NodeId>(flags.get_int("clients", 25));
@@ -153,4 +151,10 @@ int main(int argc, char** argv) {
                "dedicated case (h(0+) = inf);\nclients never self-serve, "
                "so the expected-gain formulas of Table 1 apply directly.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main("extension_dedicated", run, argc, argv);
 }

@@ -12,7 +12,9 @@
 
 using namespace impatience;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   util::Flags flags(argc, argv);
   const auto nodes = static_cast<trace::NodeId>(flags.get_int("nodes", 50));
   const trace::Slot slots = flags.get_long("slots", 6000);
@@ -124,4 +126,10 @@ int main(int argc, char** argv) {
                "reversal (it tracks\ndemand implicitly); schemes tuned to "
                "stale demand do not.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main("extension_dynamic_demand", run, argc, argv);
 }

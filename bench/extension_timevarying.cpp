@@ -17,7 +17,9 @@
 
 using namespace impatience;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   util::Flags flags(argc, argv);
   const auto nodes = static_cast<trace::NodeId>(flags.get_int("nodes", 50));
   const auto items = static_cast<core::ItemId>(flags.get_int("items", 50));
@@ -108,4 +110,10 @@ int main(int argc, char** argv) {
                "paper's Section 6.3 observation points at; QCR (no\n"
                "oracle, shown for reference) lands near the static OPT.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main("extension_timevarying", run, argc, argv);
 }

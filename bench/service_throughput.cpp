@@ -65,6 +65,22 @@ void BM_ServiceThroughput(benchmark::State& state) {
 BENCHMARK(BM_ServiceThroughput)->Arg(50)->Arg(200)
     ->Unit(benchmark::kMillisecond);
 
+// Daemon start-up: a fresh store at Arg nodes x 1000 items, rho = 5 (the
+// ingest_snapshot shape). Per-node state is sized by what a node holds,
+// so this is the cache fill, not a per-item row per node.
+void BM_StoreConstruct(benchmark::State& state) {
+  service::StoreConfig config;
+  config.num_nodes = static_cast<std::uint32_t>(state.range(0));
+  config.num_items = 1000;
+  config.cache_capacity = 5;
+  for (auto _ : state) {
+    service::StateStore store(config, 11);
+    benchmark::DoNotOptimize(store.version());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_StoreConstruct)->Arg(50000)->Unit(benchmark::kMillisecond);
+
 // Sharded parallel apply pipeline (docs/service.md "Sharded parallel
 // apply"): same stream, pre-framed into IngestLines and pushed through
 // apply_batch with 8 shards and Arg worker threads. Output is

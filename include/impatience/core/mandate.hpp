@@ -4,19 +4,17 @@
 // pathology described in the paper.
 #pragma once
 
-#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "impatience/core/catalog.hpp"
 
 namespace impatience::core {
 
-/// A multiset of mandates per item, stored densely (the item universe is
-/// known and small relative to node count), plus an incrementally
-/// maintained list of the items with a non-zero count: the QCR meeting
-/// hooks enumerate active items 4x per meeting (execute + route, both
-/// sides), and most bags are sparse, so an O(active) enumeration beats
-/// the former O(num_items) scan on the simulator's commit path.
+/// A multiset of mandates per item, stored sparsely: only items with at
+/// least one mandate, as (item, count) pairs sorted by item. A node holds
+/// mandates for a handful of items, so lookups search a few entries and
+/// the bag costs nothing for the rest of the catalog.
 class MandateBag {
  public:
   explicit MandateBag(ItemId num_items);
@@ -31,25 +29,29 @@ class MandateBag {
   /// Drops every mandate (node crash); returns how many were lost.
   long drain();
 
+  /// (item, count) for every item with at least one mandate, in
+  /// ascending item order.
+  const std::vector<std::pair<ItemId, long>>& entries() const noexcept {
+    return entries_;
+  }
+
   /// Items with at least one mandate, in ascending item order.
   std::vector<ItemId> active_items() const;
 
-  /// Appends the active items to `out` in unspecified order — the
-  /// allocation-free form for callers that merge and sort anyway
-  /// (QcrPolicy's per-meeting item unions).
+  /// Appends the active items to `out` in ascending item order — the
+  /// allocation-free form for callers that merge two bags (QcrPolicy's
+  /// per-meeting item unions).
   void append_active_items(std::vector<ItemId>& out) const {
-    out.insert(out.end(), active_.begin(), active_.end());
+    for (const auto& entry : entries_) out.push_back(entry.first);
   }
 
  private:
-  static constexpr std::uint32_t kAbsent = 0xffffffffu;
+  /// Throws std::out_of_range for an item outside the catalog (`what`
+  /// names the caller).
+  void check_item(ItemId item, const char* what) const;
 
-  void activate(ItemId item);
-  void deactivate(ItemId item);
-
-  std::vector<long> count_;
-  std::vector<ItemId> active_;        // items with count > 0, unordered
-  std::vector<std::uint32_t> pos_;    // item -> index in active_, or kAbsent
+  ItemId num_items_;
+  std::vector<std::pair<ItemId, long>> entries_;
   long total_ = 0;
 };
 

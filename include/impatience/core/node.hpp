@@ -38,14 +38,13 @@ struct PendingRequest {
 class Node {
  public:
   /// cache_capacity is ignored unless is_server. This standalone form
-  /// owns its hot counters on a private heap backing (move-stable).
+  /// owns its query-counter clock on a private heap cell (move-stable).
   Node(NodeId id, ItemId num_items, int cache_capacity, bool is_server,
        bool is_client);
 
-  /// Structure-of-arrays form: the per-item pending counters and the
-  /// query-counter clock are raw views into `state`'s flat arrays
-  /// (sim_state.hpp), which must outlive the node. The simulator builds
-  /// its population this way so hot-path walks touch contiguous rows.
+  /// Structure-of-arrays form: the query-counter clock is a raw view
+  /// into `state`'s flat array (sim_state.hpp), which must outlive the
+  /// node. The simulator builds its population this way.
   Node(SimulationState& state, NodeId id, ItemId num_items,
        int cache_capacity, bool is_server, bool is_client);
 
@@ -68,17 +67,24 @@ class Node {
   /// Registers a new request. Throws std::logic_error for non-clients.
   void create_request(ItemId item, Slot now);
 
-  /// True if at least one pending request targets `item`. O(1) via a
-  /// per-item counter maintained by create_request/note_fulfilled; lets
-  /// the meeting protocol skip the fulfilment scan when the provider's
-  /// cache holds nothing this node is waiting for.
-  bool has_pending(ItemId item) const noexcept {
-    return pending_count_[item] != 0;
+  /// Prefilter for the meeting protocol: false only if no pending request
+  /// targets `item`, so a provider whose cache items all read false can
+  /// fulfil nothing and the pending walk is skipped. O(1): a counter of
+  /// pending requests per item bucket (item mod B), maintained by
+  /// create_request/note_fulfilled. B is a power of two, 64 to start;
+  /// once the pending list passes B/4 requests, B grows to 4× the list.
+  /// It stops at the catalog size rounded up, where every item has its
+  /// own bucket and the answer is exact. Memory is O(pending), never
+  /// more than one counter per catalog item.
+  bool may_have_pending(ItemId item) const noexcept {
+    return pending_buckets_[item & bucket_mask_] != 0;
   }
 
   /// Records that one pending request for `item` left the pending list
   /// (fulfilled). Must be called once per removed request.
-  void note_fulfilled(ItemId item) noexcept { --pending_count_[item]; }
+  void note_fulfilled(ItemId item) noexcept {
+    --pending_buckets_[item & bucket_mask_];
+  }
 
   /// Records a meeting with a server (the query-counter clock). Called by
   /// the meeting protocol before fulfilment, so the fulfilling meeting is
@@ -114,25 +120,26 @@ class Node {
   CrashLosses crash(bool persist_cache);
 
  private:
-  /// Heap home of the hot counters when the node is NOT bound to a
-  /// SimulationState. Heap rather than members so the raw view pointers
-  /// below survive vector<Node> reallocation (moves transfer the
-  /// backing; the pointed-to storage never relocates).
-  struct Backing {
-    std::vector<std::uint32_t> pending_count;
-    long server_meetings = 0;
-  };
+  /// Sizes the buckets for the current pending list and recounts it.
+  void rebucket_pending();
 
   NodeId id_;
-  ItemId num_items_;
   bool is_client_;
   std::optional<Cache> cache_;
   MandateBag mandates_;
   std::vector<PendingRequest> pending_;
-  std::unique_ptr<Backing> own_;  // null when bound to a SimulationState
-  /// Views: either into own_ or into the SimulationState's flat arrays.
-  std::uint32_t* pending_count_ = nullptr;  // outstanding requests per item
-  long* server_meetings_ = nullptr;  // query-counter clock (PendingRequest)
+  std::size_t max_buckets_;  // the catalog size rounded up to a power of 2
+  std::size_t rebucket_at_ = 0;  // pending size that triggers a resize
+  std::uint32_t bucket_mask_ = 0;  // bucket count - 1
+  /// Outstanding requests per item bucket (may_have_pending).
+  std::vector<std::uint32_t> pending_buckets_;
+  /// Heap home of the query-counter clock when the node is NOT bound to
+  /// a SimulationState (null otherwise). Heap rather than a member so
+  /// the view below survives vector<Node> reallocation.
+  std::unique_ptr<long> own_clock_;
+  /// Query-counter clock (PendingRequest): a view into own_clock_ or
+  /// into the SimulationState's flat array.
+  long* server_meetings_ = nullptr;
 };
 
 }  // namespace impatience::core

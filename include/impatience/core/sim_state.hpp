@@ -1,21 +1,18 @@
 // Structure-of-arrays home of the simulator's per-node hot state.
 //
-// One run's mutable counters — per-(node, item) pending-request counts,
-// the Section-5.1 query-counter clocks, and the global per-item replica
-// counts — live here as flat contiguous arrays; `Node` binds raw views
-// into the rows it owns (node.hpp). The layout serves the intra-run
-// parallel meeting path (docs/perf.md §5): the negotiation phase of a
-// node-disjoint wave reads disjoint rows of one contiguous block
-// instead of chasing per-Node heap vectors, and the replica-count array
-// is the span handed to ReplicationPolicy::on_initialized, the
-// expected-welfare functor and the MarginalOracle welfare fold.
+// One run's flat counters — the Section-5.1 query-counter clocks and the
+// global per-item replica counts — live here as contiguous arrays; `Node`
+// binds a raw view into its clock (node.hpp). The replica-count array is
+// the span handed to ReplicationPolicy::on_initialized, the
+// expected-welfare functor and the MarginalOracle welfare fold. Per-node
+// item state (pending-request buckets, mandates) lives in the node itself
+// and does not grow with the catalog (node.hpp, mandate.hpp).
 //
 // Nodes constructed without a SimulationState (tests, the service
-// StateStore) fall back to a private heap backing, so the public Node
-// API is unchanged.
+// StateStore) keep their clock on a private heap cell, so the public
+// Node API is unchanged.
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -33,12 +30,6 @@ class SimulationState {
   NodeId num_nodes() const noexcept { return num_nodes_; }
   ItemId num_items() const noexcept { return num_items_; }
 
-  /// Row of per-item pending-request counters owned by `node`.
-  std::uint32_t* pending_counts(NodeId node) noexcept {
-    return pending_counts_.data() +
-           static_cast<std::size_t>(node) * num_items_;
-  }
-
   /// The node's server-meeting clock (see PendingRequest).
   long* query_clock(NodeId node) noexcept {
     return query_clocks_.data() + node;
@@ -54,9 +45,8 @@ class SimulationState {
  private:
   NodeId num_nodes_;
   ItemId num_items_;
-  std::vector<std::uint32_t> pending_counts_;  // [node * num_items + item]
-  std::vector<long> query_clocks_;             // [node]
-  std::vector<int> replica_counts_;            // [item]
+  std::vector<long> query_clocks_;   // [node]
+  std::vector<int> replica_counts_;  // [item]
 };
 
 }  // namespace impatience::core

@@ -85,7 +85,7 @@ bin_build_type() {
 print(json.load(sys.stdin)["context"].get("impatience_build_type", "unknown"))'
 }
 
-FILTER='BM_(MarginalGainNaive|MarginalOracle|LazyGreedyFig5Oracle|LazyGreedyFig5Naive|BuildCompetitorsFig5|LossTransformTabulated|LossTransformCached|DemandSampleLinear|DemandSampleAlias|SimulateFig6Slot|SimulateFig6Event|SimulateFig3FaultySlot|SimulateFig3FaultyEvent|SimulateFig5Intra1|SimulateFig5Intra4|SimulateFig5Intra8|PartitionSlot|QcrWelfareProbeScratch|QcrWelfareProbeIncremental|SimulateFig4Event500|MeanFieldFig4|MeanFieldMillion|MaterializedTrace|StreamingTrace|ServiceThroughput|SocketSourceLines|ServiceSnapshot|SnapshotDelta|ServiceMetricsScrape|FeederThroughput)'
+FILTER='BM_(MarginalGainNaive|MarginalOracle|LazyGreedyFig5Oracle|LazyGreedyFig5Naive|BuildCompetitorsFig5|LossTransformTabulated|LossTransformCached|DemandSampleLinear|DemandSampleAlias|SimulateFig6Slot|SimulateFig6Event|SimulateFig3FaultySlot|SimulateFig3FaultyEvent|SimulateFig5Intra1|SimulateFig5Intra4|SimulateFig5Intra8|PartitionSlot|QcrWelfareProbeScratch|QcrWelfareProbeIncremental|SimulateFig4Event500|MeanFieldFig4|MeanFieldMillion|MaterializedTrace|StreamingTrace|ServiceThroughput|StoreConstruct|SocketSourceLines|ServiceSnapshot|SnapshotDelta|ServiceMetricsScrape|FeederThroughput)'
 
 if [[ "$CHECK" == 1 ]]; then
   # Smoke subset: skip the end-to-end greedy benches (the naive baseline

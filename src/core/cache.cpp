@@ -40,16 +40,20 @@ std::optional<ItemId> Cache::insert_random_replace(ItemId item,
     notify(item, +1);
     return std::nullopt;
   }
-  // Choose a uniformly random victim among non-sticky slots.
-  std::vector<std::size_t> victims;
-  victims.reserve(items_.size());
-  for (std::size_t i = 0; i < items_.size(); ++i) {
-    if (!sticky_ || items_[i] != *sticky_) victims.push_back(i);
+  // Choose a uniformly random victim among non-sticky slots: draw k over
+  // their count and take the k-th non-sticky slot in slot order.
+  std::size_t sticky_slot = items_.size();  // none
+  if (sticky_) {
+    sticky_slot = static_cast<std::size_t>(
+        std::find(items_.begin(), items_.end(), *sticky_) - items_.begin());
   }
-  if (victims.empty()) {
+  const std::size_t victims =
+      items_.size() - (sticky_slot < items_.size() ? 1 : 0);
+  if (victims == 0) {
     throw std::logic_error("Cache: full of sticky content");
   }
-  const std::size_t slot = victims[rng.uniform_index(victims.size())];
+  std::size_t slot = rng.uniform_index(victims);
+  if (slot >= sticky_slot) ++slot;
   const ItemId evicted = items_[slot];
   items_[slot] = item;
   notify(evicted, -1);

@@ -24,12 +24,12 @@ void fulfil_from(SimState& state, Node& requester, Node& provider) {
   if (requester.pending().empty()) return;
   auto& pending = requester.pending();
 
-  // O(rho) prefilter: scan the provider's cache against the requester's
-  // per-item pending counters before walking the pending list. Most
+  // O(rho) prefilter: look the provider's cache up in the requester's
+  // pending-request buckets before walking the pending list. Most
   // meetings fulfil nothing, so this skips the compaction pass entirely.
   bool any_match = false;
   for (ItemId item : provider.cache().items()) {
-    if (requester.has_pending(item)) {
+    if (requester.may_have_pending(item)) {
       any_match = true;
       break;
     }
@@ -105,7 +105,7 @@ void plan_direction(const SimState& state, const Node& requester,
   // Same O(rho) prefilter as the fused walk.
   bool any_match = false;
   for (ItemId item : provider.cache().items()) {
-    if (requester.has_pending(item)) {
+    if (requester.may_have_pending(item)) {
       any_match = true;
       break;
     }

@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <stdexcept>
 
 #include "impatience/core/node.hpp"
@@ -9,13 +11,12 @@ namespace impatience::core {
 Node::Node(NodeId id, ItemId num_items, int cache_capacity, bool is_server,
            bool is_client)
     : id_(id),
-      num_items_(num_items),
       is_client_(is_client),
       mandates_(num_items),
-      own_(std::make_unique<Backing>()) {
-  own_->pending_count.assign(num_items, 0);
-  pending_count_ = own_->pending_count.data();
-  server_meetings_ = &own_->server_meetings;
+      max_buckets_(std::bit_ceil(std::size_t{num_items})),
+      own_clock_(std::make_unique<long>(0)),
+      server_meetings_(own_clock_.get()) {
+  rebucket_pending();
   if (is_server) {
     cache_.emplace(cache_capacity);
   }
@@ -26,14 +27,14 @@ Node::Node(NodeId id, ItemId num_items, int cache_capacity, bool is_server,
 Node::Node(SimulationState& state, NodeId id, ItemId num_items,
            int cache_capacity, bool is_server, bool is_client)
     : id_(id),
-      num_items_(num_items),
       is_client_(is_client),
-      mandates_(num_items) {
+      mandates_(num_items),
+      max_buckets_(std::bit_ceil(std::size_t{num_items})) {
   if (id >= state.num_nodes() || num_items != state.num_items()) {
     throw std::invalid_argument("Node: SimulationState dimension mismatch");
   }
-  pending_count_ = state.pending_counts(id);
   server_meetings_ = state.query_clock(id);
+  rebucket_pending();
   if (is_server) {
     cache_.emplace(cache_capacity);
   }
@@ -61,7 +62,7 @@ Node::CrashLosses Node::crash(bool persist_cache) {
   losses.mandates = mandates_.drain();
   losses.requests = pending_.size();
   pending_.clear();
-  std::fill(pending_count_, pending_count_ + num_items_, 0u);
+  std::fill(pending_buckets_.begin(), pending_buckets_.end(), 0u);
   return losses;
 }
 
@@ -70,7 +71,27 @@ void Node::create_request(ItemId item, Slot now) {
     throw std::logic_error("Node::create_request: node is not a client");
   }
   pending_.push_back({item, now, *server_meetings_});
-  ++pending_count_[item];
+  if (pending_.size() >= rebucket_at_) {
+    rebucket_pending();  // counts the new request too
+  } else {
+    ++pending_buckets_[item & bucket_mask_];
+  }
+}
+
+void Node::rebucket_pending() {
+  constexpr std::size_t kMinBuckets = 64;
+  const std::size_t buckets = std::min(
+      max_buckets_, std::max(kMinBuckets, std::bit_ceil(4 * pending_.size())));
+  pending_buckets_.assign(buckets, 0u);
+  bucket_mask_ = static_cast<std::uint32_t>(buckets - 1);
+  for (const PendingRequest& req : pending_) {
+    ++pending_buckets_[req.item & bucket_mask_];
+  }
+  // Grow once the list passes a quarter of the buckets; never past one
+  // bucket per item, where the counts are exact.
+  rebucket_at_ = buckets < max_buckets_
+                     ? buckets / 4 + 1
+                     : std::numeric_limits<std::size_t>::max();
 }
 
 }  // namespace impatience::core

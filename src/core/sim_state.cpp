@@ -12,8 +12,6 @@ SimulationState::SimulationState(NodeId num_nodes, ItemId num_items)
   if (num_items == 0) {
     throw std::invalid_argument("SimulationState: need at least one item");
   }
-  pending_counts_.assign(
-      static_cast<std::size_t>(num_nodes) * num_items, 0);
   query_clocks_.assign(num_nodes, 0);
   replica_counts_.assign(num_items, 0);
 }

@@ -278,9 +278,9 @@ SimulationResult simulate_impl(trace::EventSource& feed,
   for (NodeId n : population.servers) is_server[n] = 1;
   for (NodeId n : population.clients) is_client[n] = 1;
 
-  // Hot per-node state (pending counters, query-counter clocks) and the
-  // global replica counts live in SimulationState's flat arrays; nodes
-  // are thin views into them (the SoA constructor).
+  // The query-counter clocks and the global replica counts live in
+  // SimulationState's flat arrays; nodes view their clock there (the SoA
+  // constructor).
   SimulationState soa(num_nodes, num_items);
   detail::SimState state;
   state.nodes.reserve(num_nodes);

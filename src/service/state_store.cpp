@@ -390,7 +390,7 @@ void StateStore::plan_direction(const core::Node& requester,
   if (requester.pending().empty()) return;
   bool any_match = false;
   for (ItemId item : provider.cache().items()) {
-    if (requester.has_pending(item)) {
+    if (requester.may_have_pending(item)) {
       any_match = true;
       break;
     }
@@ -488,7 +488,7 @@ void StateStore::fulfil_from(core::Node& requester, core::Node& provider,
 
   bool any_match = false;
   for (ItemId item : provider.cache().items()) {
-    if (requester.has_pending(item)) {
+    if (requester.may_have_pending(item)) {
       any_match = true;
       break;
     }
@@ -598,9 +598,7 @@ StateImage::NodeImage StateStore::node_image_locked(NodeId n) const {
   const auto sticky = node.cache().sticky();
   ni.sticky = sticky ? static_cast<std::int64_t>(*sticky) : -1;
   ni.cache = node.cache().items();
-  for (ItemId item : node.mandates().active_items()) {
-    ni.mandates.emplace_back(item, node.mandates().count(item));
-  }
+  ni.mandates = node.mandates().entries();
   ni.pending = node.pending();
   return ni;
 }

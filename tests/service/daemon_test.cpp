@@ -19,6 +19,7 @@
 #include "impatience/service/http.hpp"
 #include "impatience/service/protocol.hpp"
 #include "impatience/util/errors.hpp"
+#include "bounded_run.hpp"
 
 namespace impatience::service {
 namespace {
@@ -195,7 +196,7 @@ TEST(Replicationd, PartialLineIsHeldAndCompletedByNextConnection) {
   config.socket_path = socket.path();
   config.http_port = -1;
   ReplicationDaemon daemon(config);
-  std::thread runner([&] { daemon.run(nullptr); });
+  BoundedRun runner(daemon, "held fragment completed");
 
   // Connection 1 dies mid-frame: "R 3" is an unterminated fragment. The
   // old behavior flushed it as a line (a spurious malformed event); now
@@ -224,7 +225,7 @@ TEST(Replicationd, HeldFragmentIsDiscardedWhenNextConnectionHandshakes) {
   config.socket_path = socket.path();
   config.http_port = -1;
   ReplicationDaemon daemon(config);
-  std::thread runner([&] { daemon.run(nullptr); });
+  BoundedRun runner(daemon, "held fragment discarded");
 
   feed_socket(socket.path(), "C 1 2\nR 3");
   wait_for_seq(daemon, 1);
@@ -261,7 +262,7 @@ TEST(Replicationd, BoundedIngestBufferCountsBackpressure) {
   // the ingest loop starts reading: the first greedy drain must stop at
   // the cap and the lines served while capped count as deferred.
   feed_socket(socket.path(), stream_text(2000, 35, /*quit=*/true));
-  daemon.run(nullptr);
+  BoundedRun(daemon, "backpressure stream @cap 4096").join();
 
   EXPECT_GE(daemon.ingest().buffer_high_water.load(), 4096u);
   EXPECT_GT(daemon.ingest().events_deferred.load(), 0u);
@@ -298,7 +299,7 @@ TEST(Replicationd, MebibyteStreamAtTheBufferFloorAppliesExactly) {
   }
 
   std::thread feeder([&] { feed_socket(socket.path(), text); });
-  daemon.run(nullptr);  // Q frame ends the stream
+  BoundedRun(daemon, "mebibyte stream @cap 4096").join();  // Q ends it
   feeder.join();
 
   EXPECT_EQ(daemon.store().seq(), replay.seq());
@@ -327,7 +328,7 @@ TEST(Replicationd, IngestsSocketStreamAndServesMetrics) {
   std::thread feeder([&] {
     feed_socket(socket.path(), stream_text(1000, 31, /*quit=*/true));
   });
-  daemon.run(nullptr);  // Q frame ends the stream
+  BoundedRun(daemon, "socket stream @cap default").join();  // Q ends it
   feeder.join();
 
   const StoreCounters k = daemon.store().counters();
@@ -369,7 +370,7 @@ TEST(Replicationd, ConcurrentScrapesDuringIngestAreClean) {
       EXPECT_NE(body.find("replicationd_version"), std::string::npos);
     }
   });
-  daemon.run(nullptr);
+  BoundedRun(daemon, "stream under scrapes @cap default").join();
   done.store(true);
   scraper.join();
   feeder.join();

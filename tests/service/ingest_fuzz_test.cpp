@@ -24,6 +24,7 @@
 #include "impatience/service/daemon.hpp"
 #include "impatience/service/protocol.hpp"
 #include "impatience/util/rng.hpp"
+#include "bounded_run.hpp"
 
 namespace impatience::service {
 namespace {
@@ -196,10 +197,9 @@ void run_and_check_at(const std::vector<std::string>& conns,
   }
   config.http_port = -1;
   ReplicationDaemon daemon(config);
-  std::thread runner([&] {
-    // The contract under fuzz: ingest never throws.
-    EXPECT_NO_THROW(daemon.run(nullptr)) << what;
-  });
+  // The contract under fuzz: ingest never throws, and ends once the
+  // stream's Q frame (or the stop below) arrives.
+  BoundedRun runner(daemon, what);
   for (std::size_t ci = 0; ci < conns.size(); ++ci) {
     if (transport == Transport::unix_socket) {
       feed_bytes(socket.path(), conns[ci]);
